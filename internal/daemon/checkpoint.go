@@ -38,7 +38,8 @@ type checkpointMeta struct {
 	// Events is the number of events those windows analyzed.
 	Events uint64 `json:"events"`
 	// Degraded records that some connection died mid-stream before this
-	// checkpoint.
+	// checkpoint, or that the checkpoint was cut while a connection was
+	// still streaming (a restart cannot resume that execution).
 	Degraded bool `json:"degraded"`
 }
 
@@ -77,16 +78,18 @@ func readBlock(b []byte) (payload, rest []byte, err error) {
 }
 
 // writeCheckpoint atomically persists a tenant checkpoint: magic, meta
-// block, profile-export block.
-func writeCheckpoint(path string, meta checkpointMeta, export []byte) error {
+// block, profile block. The profile block is any JSON form of a
+// core.ProfileDump — the daemon writes it compact; the indented Export of
+// older checkpoints reads back the same.
+func writeCheckpoint(path string, meta checkpointMeta, profile []byte) error {
 	mj, err := json.Marshal(meta)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 0, len(checkpointMagic)+len(mj)+len(export)+16)
+	buf := make([]byte, 0, len(checkpointMagic)+len(mj)+len(profile)+16)
 	buf = append(buf, checkpointMagic...)
 	buf = appendBlock(buf, mj)
-	buf = appendBlock(buf, export)
+	buf = appendBlock(buf, profile)
 	_, err = trace.AtomicWriteFile(path, buf)
 	return err
 }
@@ -117,14 +120,14 @@ func loadCheckpoint(path string) (*loadedCheckpoint, error) {
 	if err := json.Unmarshal(mj, &ck.Meta); err != nil {
 		return nil, fmt.Errorf("daemon: checkpoint meta: %w", err)
 	}
-	export, b, err := readBlock(b)
+	profile, b, err := readBlock(b)
 	if err != nil {
 		return nil, err
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("daemon: %d trailing bytes after checkpoint", len(b))
 	}
-	if ck.profile, err = core.ReadJSON(bytes.NewReader(export)); err != nil {
+	if ck.profile, err = core.ReadJSON(bytes.NewReader(profile)); err != nil {
 		return nil, fmt.Errorf("daemon: checkpoint profile: %w", err)
 	}
 	return ck, nil

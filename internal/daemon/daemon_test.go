@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -20,12 +22,18 @@ import (
 // trace recorder and returns the recording.
 func recordedRun(t *testing.T) *trace.Trace {
 	t.Helper()
+	return recordedWorkers(t, 3)
+}
+
+// recordedWorkers is recordedRun with n worker threads besides main.
+func recordedWorkers(t *testing.T, n int) *trace.Trace {
+	t.Helper()
 	rec := trace.NewRecorder()
 	m := guest.NewMachine(guest.Config{Timeslice: 3, Tools: []guest.Tool{rec}})
 	data := m.Static(64)
 	err := m.Run(func(th *guest.Thread) {
 		var kids []*guest.Thread
-		for w := 0; w < 3; w++ {
+		for w := 0; w < n; w++ {
 			w := w
 			kids = append(kids, th.Spawn("w", func(c *guest.Thread) {
 				var rec func(d int)
@@ -443,5 +451,242 @@ func TestDaemonSequentialEpochs(t *testing.T) {
 	}
 	if doc.Events != 2*uint64(tr.NumEvents()) {
 		t.Errorf("fed %d events over two epochs, want %d", doc.Events, 2*tr.NumEvents())
+	}
+}
+
+// TestDaemonManyThreadsMatchesBatch: a 35-thread execution streamed
+// concurrently over three connections with uneven frame sizes, scraped
+// while it streams, must end byte-identical to a one-shot batch analysis.
+// Every event passes through the frontier heap, with many thread queues
+// joining and draining as frames land.
+func TestDaemonManyThreadsMatchesBatch(t *testing.T) {
+	tr := recordedWorkers(t, 34)
+	if len(tr.Threads) < 32 {
+		t.Fatalf("recording has %d threads, want at least 32", len(tr.Threads))
+	}
+	want := batchExport(t, tr)
+	shards := shardThreads(tr, 3)
+	flushEvery := []int{5, 37, 211}
+
+	d, err := Start(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var clients []*Client
+	for i := range shards {
+		c, err := Dial("tcp", d.Addr(), "acme", fmt.Sprintf("guest-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Abort()
+		clients = append(clients, c)
+	}
+	waitFor(t, "three connections", func() bool {
+		ten := d.Lookup("acme")
+		return ten != nil && len(ten.Status().Connections) == 3
+	})
+	ten := d.Lookup("acme")
+
+	errs := make(chan error, len(clients))
+	for i, c := range clients {
+		go func(i int, c *Client) {
+			if err := c.Stream(shards[i], 1, flushEvery[i]); err != nil {
+				errs <- err
+				return
+			}
+			errs <- c.Close()
+		}(i, c)
+	}
+	// Scrape while the guests stream until the epoch ends: every
+	// on-request document parses and its event count never goes backwards.
+	deadline := time.Now().Add(10 * time.Second)
+	var last uint64
+	for streaming := len(clients); streaming > 0 || ten.Status().Epoch == 0; {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+			streaming--
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for epoch end")
+		}
+		doc := tenantDoc(t, ten)
+		if doc.Events < last {
+			t.Fatalf("document events fell from %d to %d", last, doc.Events)
+		}
+		last = doc.Events
+	}
+
+	st := ten.Status()
+	if st.Degraded || st.Discarded != 0 || st.Events != uint64(tr.NumEvents()) {
+		t.Fatalf("clean run: degraded=%v discarded=%d events=%d of %d", st.Degraded, st.Discarded, st.Events, tr.NumEvents())
+	}
+	if got := docProfileBytes(tenantDoc(t, ten)); !bytes.Equal(got, want) {
+		t.Fatalf("rolling profile diverges from batch analysis (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestFeedBuildsOnRequest: mid-epoch, with the guest still connected,
+// /profile's document is built at request time and reports exactly the
+// tenant's current accounting. Every thread queue has drained, so none
+// still holds its fed events.
+func TestFeedBuildsOnRequest(t *testing.T) {
+	tr := recordedRun(t)
+	d, err := Start(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	c, err := Dial("tcp", d.Addr(), "acme", "guest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abort()
+	if err := c.Stream(tr, 1, 16); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every event fed", func() bool {
+		ten := d.Lookup("acme")
+		return ten != nil && ten.Status().Events == uint64(tr.NumEvents())
+	})
+	ten := d.Lookup("acme")
+	doc := tenantDoc(t, ten)
+	st := ten.Status()
+	if doc.Events != st.Events || doc.Windows != st.Windows || doc.Epoch != 0 {
+		t.Errorf("document reports %d events / %d windows / epoch %d, status %d / %d / %d",
+			doc.Events, doc.Windows, doc.Epoch, st.Events, st.Windows, st.Epoch)
+	}
+	ten.mu.Lock()
+	defer ten.mu.Unlock()
+	if len(ten.ready) != 0 {
+		t.Errorf("%d queues left in the frontier heap after every event was fed", len(ten.ready))
+	}
+	for th, q := range ten.queues {
+		if len(q.events) != 0 {
+			t.Errorf("drained queue of thread %d still holds %d events", th, len(q.events))
+		}
+	}
+}
+
+// TestCheckpointMidEpochRestoresDegraded: a checkpoint cut while a guest is
+// still streaming holds a torn prefix of its execution, so a daemon that
+// restores it (as after kill -9) reports itself degraded; the live tenant
+// does not. A checkpoint written at a clean epoch end restores clean.
+func TestCheckpointMidEpochRestoresDegraded(t *testing.T) {
+	tr := recordedRun(t)
+	dir := t.TempDir()
+	d1, err := Start(Options{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d1.Close()
+	c, err := Dial("tcp", d1.Addr(), "acme", "guest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abort()
+	if err := c.Stream(tr, 1, 16); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a cut", func() bool {
+		ten := d1.Lookup("acme")
+		return ten != nil && ten.Status().Events > 0
+	})
+	live := d1.Lookup("acme")
+	if live.Status().Degraded {
+		t.Error("live tenant reports degraded while its guest streams")
+	}
+
+	restore := func() Status {
+		t.Helper()
+		d, err := Start(Options{CheckpointDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := d.Tenant("acme").Status()
+		d.Close()
+		return st
+	}
+	if st := restore(); !st.Degraded || st.Events == 0 {
+		t.Errorf("mid-epoch checkpoint restored degraded=%v with %d events, want degraded with events", st.Degraded, st.Events)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "epoch end", func() bool { return live.Status().Epoch == 1 })
+	if st := restore(); st.Degraded || st.Events != uint64(tr.NumEvents()) {
+		t.Errorf("clean epoch end restored degraded=%v with %d events, want clean with %d", st.Degraded, st.Events, tr.NumEvents())
+	}
+}
+
+// TestCheckpointCompactAndIndentedAgree: the daemon's compact checkpoint
+// and an older checkpoint holding the indented Export of the same profile
+// both restore to the batch analysis, byte for byte.
+func TestCheckpointCompactAndIndentedAgree(t *testing.T) {
+	tr := recordedRun(t)
+	want := batchExport(t, tr)
+	compact := t.TempDir()
+	d, err := Start(Options{CheckpointDir: compact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial("tcp", d.Addr(), "acme", "guest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Stream(tr, 1, 32); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "epoch end", func() bool { return d.Tenant("acme").Status().Epoch == 1 })
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err := loadCheckpoint(d.checkpointPath("acme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	export, err := ck.profile.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented := t.TempDir()
+	old := filepath.Join(indented, filepath.Base(d.checkpointPath("acme")))
+	if err := writeCheckpoint(old, ck.Meta, export); err != nil {
+		t.Fatal(err)
+	}
+	compactInfo, err := os.Stat(d.checkpointPath("acme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldInfo, err := os.Stat(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compactInfo.Size() >= oldInfo.Size() {
+		t.Errorf("compact checkpoint is %d bytes, indented %d", compactInfo.Size(), oldInfo.Size())
+	}
+
+	for _, dir := range []string{compact, indented} {
+		d, err := Start(Options{CheckpointDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ten := d.Tenant("acme")
+		if st := ten.Status(); st.Events != uint64(tr.NumEvents()) || st.Degraded {
+			t.Errorf("%s: restored %d events, degraded=%v", dir, st.Events, st.Degraded)
+		}
+		if got := docProfileBytes(tenantDoc(t, ten)); !bytes.Equal(got, want) {
+			t.Errorf("%s: restored profile diverges from batch analysis (%d vs %d bytes)", dir, len(got), len(want))
+		}
+		d.Close()
 	}
 }

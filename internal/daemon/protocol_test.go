@@ -117,3 +117,79 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		t.Error("corrupt checkpoint loaded without error")
 	}
 }
+
+// FuzzHello: readHello must never panic on arbitrary bytes, and a hello it
+// accepts must hold valid names and survive a write/read round trip. (The
+// bytes need not re-encode identically: ReadUvarint accepts overlong
+// length encodings.)
+func FuzzHello(f *testing.F) {
+	var buf bytes.Buffer
+	if err := writeHello(&buf, hello{Tenant: "acme", Process: "mysqld-1"}); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add(valid[:len(helloMagic)+1])
+	f.Add([]byte("APRD\x01\x00"))
+	f.Add([]byte("APRD\x01\xff\xff\xff\xff\x0f"))
+	f.Add([]byte("NOPE\x01"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := readHello(bufio.NewReader(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		if validName("tenant", h.Tenant) != nil || validName("process", h.Process) != nil {
+			t.Fatalf("accepted invalid names %+v", h)
+		}
+		var re bytes.Buffer
+		if err := writeHello(&re, h); err != nil {
+			t.Fatalf("accepted hello does not re-encode: %v", err)
+		}
+		if back, err := readHello(bufio.NewReader(&re)); err != nil || back != h {
+			t.Fatalf("hello %+v round-trips to %+v (%v)", h, back, err)
+		}
+	})
+}
+
+// FuzzFrame: readFrame must never panic on arbitrary bytes, every frame it
+// returns must be non-empty and within maxFrame, and the frames it reads
+// must re-encode to the bytes they consumed.
+func FuzzFrame(f *testing.F) {
+	var buf bytes.Buffer
+	for _, p := range [][]byte{[]byte("x"), bytes.Repeat([]byte("frame"), 40)} {
+		if err := writeFrame(&buf, p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(valid[:7])
+	f.Add([]byte{0, 0})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var re bytes.Buffer
+		var frame []byte
+		for {
+			var err error
+			frame, err = readFrame(r, frame)
+			if err != nil {
+				break
+			}
+			if len(frame) == 0 || len(frame) > maxFrame {
+				t.Fatalf("frame of %d bytes outside (0, %d]", len(frame), maxFrame)
+			}
+			if err := writeFrame(&re, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.HasPrefix(data, re.Bytes()) {
+			t.Fatal("frames read do not re-encode to the bytes they consumed")
+		}
+	})
+}

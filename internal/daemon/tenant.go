@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"container/heap"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -54,10 +55,37 @@ func (c *tenantConn) effectiveWatermark() uint64 {
 	return c.w
 }
 
-// queue is one thread's not-yet-fed events, in timestamp order.
+// queue is one thread's not-yet-fed events, in timestamp order. A queue
+// sits in the tenant's frontier heap exactly while it is non-empty; when
+// it drains it drops its fed events, so len(events) == 0 means empty.
 type queue struct {
+	thread guest.ThreadID
 	events []trace.Event
 	head   int
+}
+
+// frontierHeap is a min-heap of the non-empty thread queues, ordered by
+// head timestamp with ties (impossible in machine-recorded streams) broken
+// by thread id: its top holds the next event of the merged order.
+type frontierHeap []*queue
+
+func (h frontierHeap) Len() int { return len(h) }
+
+func (h frontierHeap) Less(i, j int) bool {
+	a, b := h[i].events[h[i].head].TS, h[j].events[h[j].head].TS
+	return a < b || (a == b && h[i].thread < h[j].thread)
+}
+
+func (h frontierHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *frontierHeap) Push(x any) { *h = append(*h, x.(*queue)) }
+
+func (h *frontierHeap) Pop() any {
+	old := *h
+	q := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return q
 }
 
 // Tenant is one tenant's continuous analysis: concurrent guest streams
@@ -79,6 +107,7 @@ type Tenant struct {
 
 	conns       map[uint64]*tenantConn
 	queues      map[guest.ThreadID]*queue
+	ready       frontierHeap
 	threadOwner map[guest.ThreadID]uint64
 
 	// watermark is the tenant's merge frontier: every event with TS <=
@@ -117,6 +146,13 @@ func newTenant(d *Daemon, name string) *Tenant {
 		t.est.Update(t.eventsFed)
 		t.publishLocked()
 	}
+	// /profile builds the document under the tenant lock when requested,
+	// so ingest never pays for an export nobody reads.
+	t.feed.SetRequester(func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.publishLocked()
+	}, 1)
 	return t
 }
 
@@ -160,9 +196,10 @@ func (t *Tenant) deliver(c *tenantConn, delta trace.StreamDelta) error {
 		t.threadOwner[seg.Thread] = c.id
 		q := t.queues[seg.Thread]
 		if q == nil {
-			q = &queue{}
+			q = &queue{thread: seg.Thread}
 			t.queues[seg.Thread] = q
 		}
+		wasEmpty := len(q.events) == 0
 		for _, e := range seg.Events {
 			if e.TS <= t.watermark {
 				// The frontier has already passed this timestamp: feeding it
@@ -175,6 +212,9 @@ func (t *Tenant) deliver(c *tenantConn, delta trace.StreamDelta) error {
 			if e.TS > frameMax {
 				frameMax = e.TS
 			}
+		}
+		if wasEmpty && len(q.events) > 0 {
+			heap.Push(&t.ready, q)
 		}
 	}
 	c.w = frameMax
@@ -248,37 +288,29 @@ func (t *Tenant) advanceLocked() {
 	}
 	if fed > 0 {
 		t.cutLocked()
-		t.publishLocked()
 		t.checkpointLocked()
 	}
 }
 
 // feedUpTo feeds every queued event with TS <= frontier in global
-// timestamp order (ties, impossible in machine-recorded streams, break by
-// thread id) and returns how many were fed.
+// timestamp order, taking each from the top of the frontier heap, and
+// returns how many were fed. A queue that drains leaves the heap and
+// drops its fed events.
 func (t *Tenant) feedUpTo(frontier uint64) uint64 {
 	var fed uint64
-	for {
-		var best *queue
-		var bestTh guest.ThreadID
-		for th, q := range t.queues {
-			if q.head >= len(q.events) {
-				continue
-			}
-			e := &q.events[q.head]
-			if e.TS > frontier {
-				continue
-			}
-			if best == nil || e.TS < best.events[best.head].TS ||
-				(e.TS == best.events[best.head].TS && th < bestTh) {
-				best, bestTh = q, th
-			}
-		}
-		if best == nil {
+	for len(t.ready) > 0 {
+		q := t.ready[0]
+		e := q.events[q.head]
+		if e.TS > frontier {
 			break
 		}
-		e := best.events[best.head]
-		best.head++
+		q.head++
+		if q.head == len(q.events) {
+			heap.Pop(&t.ready)
+			q.events, q.head = q.events[:0], 0
+		} else {
+			heap.Fix(&t.ready, 0)
+		}
 		if err := t.in.FeedEvent(e); err != nil {
 			// Unreachable for a well-formed stream; surface loudly in
 			// telemetry rather than silently dropping.
@@ -324,6 +356,7 @@ func (t *Tenant) endEpochLocked() {
 	t.in = core.NewIncremental(t.d.profOpts())
 	t.conns = make(map[uint64]*tenantConn)
 	t.queues = make(map[guest.ThreadID]*queue)
+	t.ready = nil
 	t.threadOwner = make(map[guest.ThreadID]uint64)
 	t.watermark = 0
 	if t.degraded {
@@ -336,7 +369,8 @@ func (t *Tenant) endEpochLocked() {
 }
 
 // publishLocked assembles the tenant's profile document and delivers it to
-// the feed. The document is hand-assembled so the embedded profile is the
+// the feed: at restore, at epoch end, at close, and whenever /profile
+// asks. The document is hand-assembled so the embedded profile is the
 // rolling profile's canonical Export byte for byte — json.Marshal would
 // compact it, breaking the byte-identity contract consumers rely on.
 func (t *Tenant) publishLocked() {
@@ -364,7 +398,7 @@ func (t *Tenant) checkpointLocked() {
 	if path == "" {
 		return
 	}
-	export, err := t.rolling.Profile.Export()
+	dump, err := json.Marshal(t.rolling.Profile.Dump())
 	if err != nil {
 		return
 	}
@@ -374,7 +408,16 @@ func (t *Tenant) checkpointLocked() {
 		Events:   t.eventsFed,
 		Degraded: t.degraded,
 	}
-	if err := writeCheckpoint(path, meta, export); err != nil {
+	// A cut while a connection still streams holds a torn prefix of the
+	// execution, and a restarted daemon can never resume it: it restores
+	// as degraded.
+	for _, c := range t.conns {
+		if c.state == connOpen {
+			meta.Degraded = true
+			break
+		}
+	}
+	if err := writeCheckpoint(path, meta, dump); err != nil {
 		t.d.reg().Counter("daemon/checkpoint_errors").Inc()
 		t.d.logf("aprofd: checkpoint %s: %v", t.name, err)
 		return

@@ -5,8 +5,8 @@
 #
 # Optional flags:
 #   -race   additionally run the full test suite under the race detector
-#   -fuzz   additionally run a 30-second fuzz smoke of the trace decoder
-#           and recovery paths
+#   -fuzz   additionally run a 30-second fuzz smoke of the trace decoder,
+#           the recovery path and the aprofd hello and frame readers
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -153,6 +153,10 @@ if [ "$run_fuzz" = 1 ]; then
 	go test -fuzz=FuzzDecode -fuzztime=30s ./internal/trace
 	echo "== fuzz smoke: FuzzRecover (30s)"
 	go test -fuzz=FuzzRecover -fuzztime=30s ./internal/trace
+	echo "== fuzz smoke: FuzzHello (30s)"
+	go test -fuzz=FuzzHello -fuzztime=30s ./internal/daemon
+	echo "== fuzz smoke: FuzzFrame (30s)"
+	go test -fuzz=FuzzFrame -fuzztime=30s ./internal/daemon
 fi
 
 echo "verify: all checks passed"
