@@ -459,8 +459,8 @@ func annotatedTrace(b *testing.B, name string, params workloads.Params) *trace.T
 // BenchmarkPipelineAnalyze measures offline trace analysis on a recorded
 // mysqld execution: the sequential replayer (merge + inline profiler)
 // against the parallel pipeline at increasing worker counts, on both an
-// unannotated trace (streaming fallback pre-scan) and its stamp-annotated
-// twin (no pre-scan). events/s is the throughput over the trace's event
+// unannotated trace (pre-scan overlapped with the workers) and its
+// stamp-annotated twin (no pre-scan). events/s is the throughput over the trace's event
 // count; speedups are the ratios against the sequential row. The recorded
 // curve lives in BENCH_PIPELINE.json and docs/VALIDATION.md (regenerated
 // by cmd/aprof-experiments -run validation).

@@ -314,14 +314,6 @@ func verify(args []string) error {
 		}
 		return verifyVerdict(vr, path)
 	}
-	if vr.Version == 1 {
-		if vr.StrictErr != nil {
-			return fmt.Errorf("verify: %s: legacy v1 trace failed to decode: %w", path, vr.StrictErr)
-		}
-		fmt.Printf("%s: legacy v1 trace, %d events in %d threads (no per-segment checksums)\n",
-			path, vr.Events, vr.Threads)
-		return nil
-	}
 	var rows [][]string
 	for _, blk := range vr.Blocks {
 		status := "ok"
@@ -355,12 +347,6 @@ func verify(args []string) error {
 // when the trace is intact, a descriptive error otherwise. Shared by the
 // table and -json output modes so both exit identically.
 func verifyVerdict(vr *aprof.TraceVerifyReport, path string) error {
-	if vr.Version == 1 {
-		if vr.StrictErr != nil {
-			return fmt.Errorf("verify: %s: legacy v1 trace failed to decode: %w", path, vr.StrictErr)
-		}
-		return nil
-	}
 	if vr.OK() {
 		return nil
 	}
@@ -643,7 +629,7 @@ func analyze(args []string) error {
 	if tr.Annotated {
 		fmt.Fprintln(os.Stderr, "analyze: annotated trace — plan assembled from recorded stamps, no pre-scan")
 	} else {
-		fmt.Fprintln(os.Stderr, "analyze: unannotated trace — streaming fallback pre-scan overlapped with workers")
+		fmt.Fprintln(os.Stderr, "analyze: unannotated trace — pre-scan overlapped with workers")
 	}
 	// As in record: one estimator behind both the stderr line and /progress.
 	var pl *telemetry.Progress

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire constants. The hello magic is distinct from the trace-file magic so
@@ -29,6 +30,9 @@ const (
 	// maxFrame bounds one frame's payload. Guests flush far more often
 	// than this; a larger length is a framing fault, not a big frame.
 	maxFrame = 1 << 26
+
+	// frameGrowth is the least readFrame grows its buffer by at a time.
+	frameGrowth = 64 << 10
 )
 
 // hello identifies a guest connection: the tenant whose rolling profile the
@@ -123,7 +127,9 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one complete frame, reusing buf when it is large enough.
+// readFrame reads one complete frame, reusing buf's capacity. Beyond that
+// capacity the buffer grows only as payload bytes arrive, so a torn or
+// hostile header costs at most one growth step, not the length it claims.
 // io.EOF at a frame boundary is a clean end of input; any other truncation
 // surfaces as io.ErrUnexpectedEOF.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
@@ -138,15 +144,18 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("daemon: implausible frame length %d", n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	buf = buf[:0]
+	for len(buf) < int(n) {
+		chunk := min(int(n)-len(buf), max(cap(buf)-len(buf), frameGrowth))
+		buf = slices.Grow(buf, chunk)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("daemon: truncated frame: %w", err)
 		}
-		return nil, fmt.Errorf("daemon: truncated frame: %w", err)
 	}
 	return buf, nil
 }

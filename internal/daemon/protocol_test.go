@@ -3,9 +3,11 @@ package daemon
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -80,6 +82,24 @@ func TestFrameRoundTripAndBounds(t *testing.T) {
 	}
 	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 9, 'x'}), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated body: got %v, want ErrUnexpectedEOF", err)
+	}
+}
+
+// TestReadFrameTornHeaderAllocatesLittle: a header claiming the largest
+// legal frame, followed by end of input, fails as a truncated frame without
+// allocating anywhere near the claimed length.
+func TestReadFrameTornHeaderAllocatesLittle(t *testing.T) {
+	var head [4]byte
+	binary.BigEndian.PutUint32(head[:], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(head[:]), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "daemon: truncated frame:") {
+		t.Fatalf("torn frame: got %v, want the truncated-frame error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("torn %d-byte frame allocated %d bytes, want < 1 MiB", maxFrame, grew)
 	}
 }
 

@@ -36,18 +36,6 @@ var inlineWorkloads = []struct {
 	{"358.botsalgn", 96, 16},
 }
 
-// inlineBaselines records the min-of-30 inline profiling wall time of the
-// pre-batching profiler (commit 2ee0156, per-event dispatch only), measured
-// on the same host and sizes as this experiment. They anchor the
-// speedup-vs-baseline column; re-measure them by checking out that commit
-// and timing `core.New` under the same workloads.
-var inlineBaselines = map[string]float64{
-	"mysqld":       10.349,
-	"vips":         0.573,
-	"dedup":        0.471,
-	"fluidanimate": 0.175,
-}
-
 // inlineBench is the machine-readable record of the inline-overhead level,
 // written to the path in Config.BenchJSON (BENCH_INLINE.json at the repo
 // root), mirroring BENCH_PIPELINE.json's min-of-reps methodology.
@@ -74,11 +62,6 @@ type inlineBenchStep struct {
 	// BurstSpeedup is batched_ms / burst_ms: what burst sampling buys over
 	// the exact batched profiler on the same run.
 	BurstSpeedup float64 `json:"burst_speedup"`
-	Baseline     float64 `json:"baseline_pre_batching_ms,omitempty"`
-	VsBaseline   float64 `json:"speedup_vs_baseline,omitempty"`
-	// BurstVsBaseline is baseline_pre_batching_ms / burst_ms: the combined
-	// batching + sampling win over the pre-batching profiler.
-	BurstVsBaseline float64 `json:"burst_speedup_vs_baseline,omitempty"`
 }
 
 // runInline times the inline profiler — attached to a live machine, not
@@ -116,8 +99,7 @@ func runInline(cfg Config) error {
 			"is per-event dispatch (guest.Config.Unbatched), batched is the " +
 			"event-ring fast path, suppress adds the profile-identical " +
 			"redundancy filter, burst adds sampled hot routines (bounded " +
-			"error); baseline_pre_batching_ms is the pre-batching profiler " +
-			"(commit 2ee0156) measured with the same methodology",
+			"error)",
 	}
 
 	fmt.Fprintf(w, "## Inline profiling overhead — batched vs per-event dispatch vs sampling\n\n")
@@ -189,13 +171,6 @@ func runInline(cfg Config) error {
 			Speedup:      float64(seq) / float64(bat),
 			BurstSpeedup: float64(bat) / float64(bur),
 		}
-		// The pre-batching baseline was measured at the default sizes
-		// only, so it is not comparable under Quick.
-		if base, ok := inlineBaselines[wl.name]; ok && !cfg.Quick {
-			step.Baseline = base
-			step.VsBaseline = base / ms(bat)
-			step.BurstVsBaseline = base / ms(bur)
-		}
 		bench.Workloads = append(bench.Workloads, step)
 
 		fmt.Fprintf(w, "| %s | %d | %.3f | %.3f | %.3f | %.3f | %.3f | %.2fx | %.2fx |\n",
@@ -203,8 +178,8 @@ func runInline(cfg Config) error {
 			step.Speedup, step.BurstSpeedup)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "The dominant win over the pre-batching profiler is not the dispatch\n")
-	fmt.Fprintf(w, "mechanism alone but what batching enables: the profiler's MemBatch loop\n")
+	fmt.Fprintf(w, "Batching pays off less through the dispatch mechanism itself than\n")
+	fmt.Fprintf(w, "through what it enables: the profiler's MemBatch loop\n")
 	fmt.Fprintf(w, "hoists the thread view, the operation counter and the write-provenance\n")
 	fmt.Fprintf(w, "word out of the per-event path, and persistent shadow-chunk cursors plus\n")
 	fmt.Fprintf(w, "chunk pooling remove the per-access table walks; per-event dispatch\n")
@@ -213,20 +188,7 @@ func runInline(cfg Config) error {
 	fmt.Fprintf(w, "update for reads the same activation already timestamped (the profile\n")
 	fmt.Fprintf(w, "is byte-identical), and burst additionally skips whole activations of\n")
 	fmt.Fprintf(w, "hot routines outside periodic measurement windows, trading bounded\n")
-	fmt.Fprintf(w, "metric error for speed (calls and cost stay exact).\n")
-	if !cfg.Quick {
-		fmt.Fprintf(w, "Against the pre-batching profiler (commit 2ee0156):\n\n")
-		fmt.Fprintf(w, "| workload | pre-batching (ms) | batched (ms) | burst (ms) | reduction | burst reduction |\n")
-		fmt.Fprintf(w, "|---|---:|---:|---:|---:|---:|\n")
-		for _, s := range bench.Workloads {
-			if s.Baseline == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "| %s | %.3f | %.3f | %.3f | %.2fx | %.2fx |\n",
-				s.Workload, s.Baseline, s.Batched, s.Burst, s.VsBaseline, s.BurstVsBaseline)
-		}
-		fmt.Fprintln(w)
-	}
+	fmt.Fprintf(w, "metric error for speed (calls and cost stay exact).\n\n")
 
 	if cfg.BenchJSON != "" {
 		data, err := json.MarshalIndent(&bench, "", "  ")

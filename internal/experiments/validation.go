@@ -258,7 +258,7 @@ type pipelineBenchStep struct {
 // validatePerformance times offline analysis of a recorded mysqld execution
 // large enough (10M+ events at full scale) for per-event work to dominate:
 // the sequential replayer against the annotated pipeline route and the
-// streaming fallback, swept over GOMAXPROCS 1/2/4/8 with the worker count
+// overlapped pre-scan, swept over GOMAXPROCS 1/2/4/8 with the worker count
 // matched, min-of-N to suppress scheduling noise. The trace is recorded
 // through the streaming recorder, so it carries stamp annotations and the
 // pipeline needs no pre-scan; the fallback rows strip them first.

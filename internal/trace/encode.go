@@ -2,40 +2,26 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"repro/internal/guest"
 )
 
-// Binary trace format, common prelude:
+// Binary trace format, prelude:
 //
-//	magic "ISPTRACE" | version byte | version-specific body
+//	magic "ISPTRACE" | version byte | body
 //
-// Version 2 (current) is the crash-safe segmented format implemented in
-// format2.go: checksummed name-table blocks, per-thread event segments and a
-// footer. Version 1 is the legacy unframed stream decoded below:
-//
-//	routine table: uvarint count, then uvarint length + bytes per name
-//	sync table:    same layout
-//	threads:       uvarint count, then per thread:
-//	                 uvarint thread id (uint32 image)
-//	                 uvarint event count, then per event:
-//	                   uvarint timestamp delta | kind byte | uvarint arg | uvarint aux
-//
-// Timestamps are delta-encoded within each thread's stream (per segment in
-// v2), which keeps typical events at 4-6 bytes. See docs/TRACE_FORMAT.md.
+// The body of version 2, the only version, is the crash-safe segmented
+// format implemented in format2.go: checksummed name-table blocks,
+// per-thread event segments and a footer. Timestamps are delta-encoded
+// within each segment, which keeps typical events at 4-6 bytes. See
+// docs/TRACE_FORMAT.md.
 
 var magic = [8]byte{'I', 'S', 'P', 'T', 'R', 'A', 'C', 'E'}
 
-// formatVersion is the current wire-format version. Encode always writes
-// it; Decode additionally accepts the legacy version below.
+// formatVersion is the wire-format version Encode writes and Decode reads.
 const formatVersion = 2
-
-// legacyVersion is the v1 unframed format, still decodable (read-only
-// compatibility; Encode never writes it).
-const legacyVersion = 1
 
 // FormatVersion returns the current binary trace-format version byte.
 func FormatVersion() byte { return formatVersion }
@@ -55,134 +41,39 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("trace: format version %d not supported (want %d)", e.Got, e.Want)
 }
 
-// Decode reads a trace in the binary format, strictly: in the current
-// segmented format every checksum must verify and the footer must be
-// present and consistent, and in the legacy v1 format the stream must parse
-// to its end. Use Recover to salvage intact segments from damaged v2
-// traces instead.
+// Decode reads a trace in the binary format, strictly: every checksum must
+// verify and the footer must be present and consistent. Use Recover to
+// salvage intact segments from damaged traces instead.
 func Decode(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
-	ver, err := readPrelude(br)
-	if err != nil {
+	if err := readPrelude(br); err != nil {
 		return nil, err
 	}
-	switch ver {
-	case legacyVersion:
-		return decodeV1(br)
-	case formatVersion:
-		return decodeV2(&trackReader{br: br, n: preludeLen})
-	default:
-		return nil, &VersionError{Want: formatVersion, Got: ver}
-	}
+	return decodeV2(&trackReader{br: br, n: preludeLen})
 }
 
 // preludeLen is the size of the shared prelude: 8 magic bytes + 1 version.
 const preludeLen = 9
 
-// readPrelude consumes and validates the magic and returns the version byte.
-func readPrelude(br *bufio.Reader) (byte, error) {
+// readPrelude consumes and validates the magic and the version byte; any
+// version but formatVersion is a *VersionError.
+func readPrelude(br *bufio.Reader) error {
 	var m [8]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return 0, fmt.Errorf("trace: reading magic: %w", err)
+		return fmt.Errorf("trace: reading magic: %w", err)
 	}
 	if m != magic {
-		return 0, fmt.Errorf("trace: bad magic %q", m[:])
+		return fmt.Errorf("trace: bad magic %q", m[:])
 	}
 	ver, err := br.ReadByte()
 	if err != nil {
-		return 0, fmt.Errorf("trace: reading version: %w", err)
+		return fmt.Errorf("trace: reading version: %w", err)
 	}
-	return ver, nil
+	if ver != formatVersion {
+		return &VersionError{Want: formatVersion, Got: ver}
+	}
+	return nil
 }
 
-// decodeV1 reads the legacy v1 body (everything after the version byte).
-// Table counts, name lengths and thread/event counts are bounded before any
-// allocation, so hostile inputs cannot force huge allocations.
-func decodeV1(br *bufio.Reader) (*Trace, error) {
-	readStrings := func() ([]string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if n > maxTableEntries {
-			return nil, fmt.Errorf("trace: implausible name-table size %d", n)
-		}
-		ss := make([]string, 0, min(n, 4096))
-		for i := uint64(0); i < n; i++ {
-			l, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if l > maxNameLen {
-				return nil, fmt.Errorf("trace: implausible name length %d", l)
-			}
-			buf := make([]byte, l)
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, err
-			}
-			ss = append(ss, string(buf))
-		}
-		return ss, nil
-	}
-	tr := &Trace{Version: legacyVersion}
-	var err error
-	if tr.Routines, err = readStrings(); err != nil {
-		return nil, fmt.Errorf("trace: routine table: %w", err)
-	}
-	if tr.Syncs, err = readStrings(); err != nil {
-		return nil, fmt.Errorf("trace: sync table: %w", err)
-	}
-	nThreads, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nThreads > maxThreads {
-		return nil, fmt.Errorf("trace: implausible thread count %d", nThreads)
-	}
-	for i := uint64(0); i < nThreads; i++ {
-		id, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		nEvents, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		tt := ThreadTrace{ID: threadIDFromWire(id)}
-		tt.Events = make([]Event, 0, min(nEvents, 1<<20))
-		prev := uint64(0)
-		for j := uint64(0); j < nEvents; j++ {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: thread %d event %d: %w", id, j, err)
-			}
-			prev += delta
-			kb, err := br.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			if Kind(kb) >= numKinds {
-				return nil, fmt.Errorf("trace: invalid event kind %d", kb)
-			}
-			arg, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			aux, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			tt.Events = append(tt.Events, Event{
-				TS:     prev,
-				Thread: tt.ID,
-				Kind:   Kind(kb),
-				Arg:    arg,
-				Aux:    aux,
-			})
-		}
-		tr.Threads = append(tr.Threads, tt)
-	}
-	return tr, nil
-}
-
+// threadIDFromWire decodes a thread id from its uint32 wire image.
 func threadIDFromWire(v uint64) guest.ThreadID { return guest.ThreadID(int32(uint32(v))) }

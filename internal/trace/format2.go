@@ -63,14 +63,13 @@ const DefaultSegmentEvents = 4096
 // larger is treated as framing corruption rather than trusted.
 const maxBlockPayload = 1 << 28
 
-// maxTableEntries bounds the accumulated routine/sync name tables, matching
-// the v1 decoder's plausibility cap.
+// maxTableEntries bounds the accumulated routine/sync name tables.
 const maxTableEntries = 1 << 24
 
-// maxNameLen bounds one table name, matching the v1 decoder's cap.
+// maxNameLen bounds one table name.
 const maxNameLen = 1 << 16
 
-// maxThreads bounds the per-trace thread count, matching the v1 decoder.
+// maxThreads bounds the per-trace thread count.
 const maxThreads = 1 << 20
 
 // castagnoli is the CRC32-C polynomial table used by every v2 checksum.
@@ -216,8 +215,8 @@ func (tr *Trace) Encode(w io.Writer) (int64, error) {
 		}
 	}
 	// The footer counts distinct thread ids, matching what a decoder's
-	// builder reconstructs even if the in-memory trace (e.g. a hand-built or
-	// legacy-decoded one) carries duplicate ids that decoding would merge.
+	// builder reconstructs even if the in-memory trace (e.g. a hand-built
+	// one) carries duplicate ids that decoding would merge.
 	distinct := make(map[guest.ThreadID]bool, len(tr.Threads))
 	for i := range tr.Threads {
 		distinct[tr.Threads[i].ID] = true

@@ -45,7 +45,7 @@ func fuzzSeeds(f *testing.F) {
 	}
 	clean := buf.Bytes()
 	f.Add(clean)
-	f.Add(encodeV1(tr))
+	f.Add(append([]byte("ISPTRACE"), 1)) // the retired v1 version byte
 	f.Add(clean[:len(clean)/2])
 	f.Add(clean[:len(clean)-2])
 	f.Add(faultinject.FlipBits(clean, 1, 3, 0))

@@ -1,9 +1,9 @@
 package pipeline
 
-// Differential tests for the two analysis routes the annotation work added:
-// the annotated O(#segments) plan and the streaming fallback that overlaps
-// the pre-scan with the workers. Every route, at every worker count, must
-// export byte-for-byte the profile the inline profiler computes.
+// Differential tests for the two analysis routes: the annotated
+// O(#segments) plan and the pre-scan overlapped with the workers. Every
+// route, at every worker count, must export byte-for-byte the profile the
+// inline profiler computes.
 
 import (
 	"bytes"
@@ -57,7 +57,7 @@ func analyzeExport(t *testing.T, tr *trace.Trace, opts Options) []byte {
 }
 
 // TestAnnotatedRouteMatchesInline sweeps workloads and worker counts over
-// the annotated fast path and the stripped twin's streaming fallback; both
+// the annotated fast path and the stripped twin's overlapped pre-scan; both
 // must reproduce the inline profiler byte for byte.
 func TestAnnotatedRouteMatchesInline(t *testing.T) {
 	cases := []struct {
@@ -87,7 +87,7 @@ func TestAnnotatedRouteMatchesInline(t *testing.T) {
 			}
 			got = analyzeExport(t, &stripped, Options{Workers: workers})
 			if !bytes.Equal(got, base) {
-				t.Fatalf("%s: streaming fallback, workers=%d: diverges from inline", tc.wl, workers)
+				t.Fatalf("%s: overlapped pre-scan, workers=%d: diverges from inline", tc.wl, workers)
 			}
 		}
 	}
@@ -158,7 +158,7 @@ func TestStreamingChunkSplit(t *testing.T) {
 	base := export(t, inline, nil)
 	for _, workers := range []int{1, 2} {
 		if got := analyzeExport(t, &stripped, Options{Workers: workers}); !bytes.Equal(got, base) {
-			t.Fatalf("chunked streaming fallback, workers=%d: diverges from inline", workers)
+			t.Fatalf("chunked overlapped pre-scan, workers=%d: diverges from inline", workers)
 		}
 	}
 }

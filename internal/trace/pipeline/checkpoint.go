@@ -956,9 +956,9 @@ func validState(p *Plan, idx int, st *workerState) bool {
 			return false
 		}
 	} else {
-		nreads := len(tp.reads)
-		if tp.reads == nil {
-			nreads = len(tp.packed)
+		nreads := len(tp.packed)
+		if tp.stamped {
+			nreads = len(tp.reads)
 		}
 		if st.nextRead < 0 || st.nextRead > nreads {
 			return false

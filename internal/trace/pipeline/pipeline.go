@@ -15,29 +15,29 @@
 //     its shadow stack of partial trms/rms values — which depends only on
 //     that thread's own events plus the global values observed at them.
 //
-// The pipeline therefore splits work into global-state derivation and
-// per-thread analysis, and obtains the global half as cheaply as the trace
-// allows:
+// A Plan carries the global half each thread needs — the counter at every
+// segment entry and the (wts, writer) stamp every read observes — in one
+// append-only per-thread plan, obtained as cheaply as the trace allows:
 //
 //   - Annotated traces (recorded by trace.StreamRecorder, which maintains
-//     the pre-scan's state live while recording) carry every segment's
-//     entry counter and every read's (wts, writer) stamp in the file, so
-//     BuildPlan assembles the plan directly from the annotations in
-//     O(#segments) and per-thread workers start immediately.
-//   - Legacy traces without annotations go through the fallback pre-scan.
-//     Analyze overlaps it with the workers: the merged-order scan publishes
-//     segments to per-thread queues as it goes, and each thread's analyzer
-//     starts the moment its first segment is available instead of waiting
-//     behind a barrier. BuildPlan still offers the fully materialized
-//     (reusable) plan for callers that want the two phases separate.
+//     those values live while recording) carry them in the file, so the
+//     plan is assembled from the annotations in O(#segments), complete
+//     before any worker starts.
+//   - Traces without annotations go through the pre-scan: one sequential
+//     pass over the merged event order that publishes segments and stamps
+//     to the per-thread plans as it goes. Analyze runs it concurrently with
+//     the workers, each thread's worker starting as soon as the scan
+//     discovers the thread; BuildPlan, and checkpointed runs, wait for the
+//     scan to finish first. That wait is the only difference between the
+//     routes.
 //
 // The analyze phase processes each guest thread independently — shadow
 // memory, shadow stack, histogram aggregation — on a bounded pool of
-// workers, and deterministically folds the per-thread profiles together.
-// The result is byte-identical (core.Profile.Export) to the inline
-// profiler's on every route: the differential tests and the metamorphic
-// harness's prescan-vs-annotated axis assert this across workloads and
-// worker counts.
+// workers, and deterministically folds the per-thread profiles together in
+// thread discovery order. The result is byte-identical
+// (core.Profile.Export) to the inline profiler's on every route: the
+// differential tests and the metamorphic harness's prescan-vs-annotated
+// axis assert this across workloads and worker counts.
 //
 // Timestamps are 64-bit throughout, so the pipeline never renumbers; this
 // is equivalent because the paper's renumbering (Fig. 13) preserves exactly
@@ -57,7 +57,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guest"
-	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -107,9 +106,9 @@ type Options struct {
 	// Checkpoint, when non-nil and enabled, periodically saves every
 	// worker's position and partial state to an atomically rewritten
 	// checkpoint file, and serves live profile snapshots (see
-	// CheckpointOptions). Checkpointing forces the materialized-plan route
-	// even for unannotated traces: resumable positions need the plan's
-	// stable segment numbering.
+	// CheckpointOptions). On an unannotated trace the workers then start
+	// only after the pre-scan has finished: the checkpoint fingerprints
+	// every thread's segment count.
 	Checkpoint *CheckpointOptions
 
 	// Resume, when non-nil, is a checkpoint of a previous run of the same
@@ -129,37 +128,74 @@ const kernelWriter = trace.KernelWriter
 // segment is a run of one thread's events in the merged order: the unit the
 // plan shards traces into. Lo and Hi index into the events of thread trace
 // Src; StartCount is the global counter value on entry (after the preceding
-// switchThread bump). Segments split at thread switches and, in annotated
-// or streaming plans, additionally at recorder-flush or chunk boundaries —
-// splits within a run are exact (the entry counter is recorded at the split
-// point) and do not change profiles.
+// switchThread bump). Segments split at thread switches and additionally at
+// recorder-flush (annotated plans) or chunk (pre-scanned plans) boundaries
+// — splits within a run are exact (the entry counter is recorded at the
+// split point) and do not change profiles.
 type segment struct {
 	src        int // index into Trace.Threads
 	lo, hi     int
 	startCount uint64
 }
 
-// threadPlan is the per-guest-thread share of a Plan: the thread's segments
-// in merged order and the global write-shadow observations of its reads, in
-// event order. The pre-scan populates exactly one of packed (narrow mode)
-// and reads (wide mode); annotated plans always use reads, sharing the
-// decoded stamp slice without copying.
+// threadPlan is one guest thread's share of a Plan: its segments in merged
+// order and the global write-shadow stamps its reads observe, in event
+// order. It is append-only: the pre-scan publishes each segment together
+// with the stamps covering it under mu, and a worker reads the prefix it
+// fetched without locks, because published elements never change.
+//
+// The stamps live in reads (annotated plans, which share the decoded stamp
+// slice, and wide pre-scans) or packed as wts<<32|writer words (narrow
+// pre-scans); stamped says which, since an empty prefix of either is nil.
 type threadPlan struct {
-	id       guest.ThreadID
-	events   int
+	id      guest.ThreadID
+	stamped bool
+
+	mu       sync.Mutex
+	cond     *sync.Cond // signals publish and close
 	segments []segment
 	packed   []uint64
 	reads    []trace.Stamp
+	events   int   // events in the published segments
+	closed   bool  // nothing more will be published
+	err      error // pre-scan failure, set on close
 }
 
-// readAt returns the (wts, writer) pair observed by the thread's i-th read.
-func (tp *threadPlan) readAt(i int) (uint64, uint32) {
-	if tp.reads != nil {
-		st := tp.reads[i]
-		return st.WTS, st.Writer
+func newThreadPlan(id guest.ThreadID, stamped bool) *threadPlan {
+	tp := &threadPlan{id: id, stamped: stamped}
+	tp.cond = sync.NewCond(&tp.mu)
+	return tp
+}
+
+// publish appends one segment and the stamps of its reads.
+func (tp *threadPlan) publish(seg segment, packed []uint64, reads []trace.Stamp) {
+	tp.mu.Lock()
+	tp.segments = append(tp.segments, seg)
+	tp.packed = append(tp.packed, packed...)
+	tp.reads = append(tp.reads, reads...)
+	tp.events += seg.hi - seg.lo
+	tp.cond.Broadcast()
+	tp.mu.Unlock()
+}
+
+// close marks the plan complete, carrying the pre-scan's failure, if any.
+func (tp *threadPlan) close(err error) {
+	tp.mu.Lock()
+	tp.closed, tp.err = true, err
+	tp.cond.Broadcast()
+	tp.mu.Unlock()
+}
+
+// fetch waits until more than have segments are published or the plan is
+// closed, and returns the published prefix, which is read-only. On a
+// closed plan it never waits: a caller that gets no new segment is done.
+func (tp *threadPlan) fetch(have int) ([]segment, []uint64, []trace.Stamp, error) {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	for len(tp.segments) <= have && !tp.closed {
+		tp.cond.Wait()
 	}
-	g := tp.packed[i]
-	return g >> 32, uint32(g)
+	return tp.segments, tp.packed, tp.reads, tp.err
 }
 
 // Plan is the output of plan assembly: everything the per-thread analyzers
@@ -167,9 +203,19 @@ func (tp *threadPlan) readAt(i int) (uint64, uint32) {
 type Plan struct {
 	tr        *trace.Trace
 	opts      core.Options
-	wide      bool          // see BuildPlan: counter may exceed 32 bits
-	annotated bool          // assembled from trace annotations, no pre-scan
-	threads   []*threadPlan // in order of first appearance in the merged order
+	wide      bool // see BuildPlan: counter may exceed 32 bits
+	annotated bool // assembled from trace annotations, no pre-scan
+
+	// threads grows, in order of first appearance in the merged order, as
+	// the pre-scan discovers threads; scanned is set when it can grow no
+	// more, with the pre-scan's failure, if any, in scanErr. cond signals
+	// changes to all three under mu. Plans returned by BuildPlan are
+	// already scanned.
+	mu      sync.Mutex
+	cond    *sync.Cond
+	threads []*threadPlan
+	scanned bool
+	scanErr error
 
 	// Telemetry, Progress, Checkpoint and Resume mirror the same-named
 	// Options fields for callers driving BuildPlan/Run directly;
@@ -181,9 +227,40 @@ type Plan struct {
 	Resume     *Checkpoint
 }
 
+// newPlan returns an empty, unscanned plan for tr.
+func newPlan(tr *trace.Trace, opts core.Options) *Plan {
+	p := &Plan{tr: tr, opts: opts, wide: 2*uint64(tr.NumEvents())+2 >= 1<<32}
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
+
+// thread returns the plan's i-th thread, waiting for the pre-scan to
+// discover it, or nil once the plan is known to have no more threads.
+func (p *Plan) thread(i int) *threadPlan {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i >= len(p.threads) && !p.scanned {
+		p.cond.Wait()
+	}
+	if i < len(p.threads) {
+		return p.threads[i]
+	}
+	return nil
+}
+
+// wait blocks until the pre-scan has finished and returns its failure.
+func (p *Plan) wait() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.scanned {
+		p.cond.Wait()
+	}
+	return p.scanErr
+}
+
 // Annotated reports whether the plan was assembled from the trace's
 // recorded stamp annotations in O(#segments) rather than by the sequential
-// fallback pre-scan.
+// pre-scan.
 func (p *Plan) Annotated() bool { return p.annotated }
 
 // NumEvents returns the total number of events across the plan's threads —
@@ -197,8 +274,8 @@ func (p *Plan) NumEvents() uint64 {
 }
 
 // Analyze computes the trace's input-sensitive profile with the parallel
-// pipeline: pre-scan, fan-out to workers, deterministic merge. The result
-// is identical to core.FromTrace(tr, tieSeed, opts.Profile).
+// pipeline: plan, fan-out to workers, deterministic merge. The result is
+// identical to core.FromTrace(tr, tieSeed, opts.Profile).
 func Analyze(tr *trace.Trace, opts Options) (*core.Profile, error) {
 	return AnalyzeContext(context.Background(), tr, opts)
 }
@@ -208,10 +285,9 @@ func Analyze(tr *trace.Trace, opts Options) (*core.Profile, error) {
 // canceled or its deadline passes. It also enforces the Options.MaxEvents
 // guard.
 //
-// Route selection: an annotated trace is planned in O(#segments) and run on
-// the worker pool directly; an unannotated trace is analyzed with the
-// streaming fallback, which overlaps the sequential pre-scan with the
-// per-thread workers instead of running the two phases behind a barrier.
+// An annotated trace is planned in O(#segments) and run on the worker pool
+// directly. Any other trace's pre-scan runs concurrently with the workers,
+// which trail it segment by segment instead of waiting behind a barrier.
 // Both routes produce byte-identical profiles.
 func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (*core.Profile, error) {
 	if opts.MaxEvents > 0 {
@@ -224,24 +300,21 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (*core.P
 	if err := validateOptions(opts.Profile); err != nil {
 		return nil, err
 	}
-	wantCkpt := (opts.Checkpoint != nil && opts.Checkpoint.enabled()) || opts.Resume != nil
-	if tr.Annotated || wantCkpt {
-		// Checkpointing and resuming need the materialized plan's stable
-		// (thread, segment, offset) coordinates, so they take the plan
-		// route even for unannotated traces (the pre-scan runs first).
+	var plan *Plan
+	if tr.Annotated {
 		span := opts.Telemetry.StartSpan(ctx, "pipeline/plan")
-		plan, err := BuildPlanContext(ctx, tr, opts.TieSeed, opts.Profile)
+		plan = planFromAnnotations(tr, opts.Profile)
 		span.End()
-		if err != nil {
-			return nil, err
-		}
-		plan.Telemetry = opts.Telemetry
-		plan.Progress = opts.Progress
-		plan.Checkpoint = opts.Checkpoint
-		plan.Resume = opts.Resume
-		return plan.RunContext(ctx, opts.Workers)
 	}
-	return analyzeStreaming(ctx, tr, opts)
+	if plan == nil {
+		plan = newPlan(tr, opts.Profile)
+		go plan.prescan(ctx, opts.TieSeed, opts.Telemetry)
+	}
+	plan.Telemetry = opts.Telemetry
+	plan.Progress = opts.Progress
+	plan.Checkpoint = opts.Checkpoint
+	plan.Resume = opts.Resume
+	return plan.RunContext(ctx, opts.Workers)
 }
 
 // validateOptions rejects the profiling modes the parallel pipeline cannot
@@ -256,13 +329,13 @@ func validateOptions(opts core.Options) error {
 	return nil
 }
 
-// BuildPlan assembles the analysis plan. For an annotated trace (see
-// trace.Stamp) the plan comes straight from the recorded segment metadata
-// in O(#segments) — no pass over the events at all. Otherwise BuildPlan
-// runs the sequential fallback pre-scan: one streaming pass over the merged
-// event order that maintains the global counter and write shadow, shards
-// every thread's events at thread-switch boundaries, and annotates reads
-// with the write timestamps they observe.
+// BuildPlan assembles the complete analysis plan. For an annotated trace
+// (see trace.Stamp) the plan comes straight from the recorded segment
+// metadata in O(#segments) — no pass over the events at all. Otherwise
+// BuildPlan runs the pre-scan to completion: one pass over the merged event
+// order that maintains the global counter and write shadow, shards every
+// thread's events at thread-switch and chunk boundaries, and annotates
+// reads with the write timestamps they observe.
 //
 // The counter can increment at most twice per event (an event's own bump
 // plus one synthesized thread switch), so its final value is bounded before
@@ -275,16 +348,40 @@ func BuildPlan(tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error)
 	return BuildPlanContext(context.Background(), tr, tieSeed, opts)
 }
 
-// planFromAnnotations assembles a plan from the trace's recorded stamp
-// annotations without scanning any events: each annotated run becomes a
-// segment, reads share the decoded stamp slices, and threads are ordered by
-// their first run's entry count — which is exactly first appearance in the
-// merged order, because every thread switch bumps the counter. It returns
-// ok=false (caller falls back to the pre-scan) if the annotations are
-// internally inconsistent, which the decoder rules out for traces it marks
-// Annotated but a hand-mutated trace could still exhibit.
-func planFromAnnotations(tr *trace.Trace, opts core.Options) (*Plan, bool) {
-	p := &Plan{tr: tr, opts: opts, annotated: true, wide: 2*uint64(tr.NumEvents())+2 >= 1<<32}
+// BuildPlanContext is BuildPlan with cancellation: ctx is polled once per
+// merged scheduler run (the pre-scan's natural work unit), so a canceled
+// scan stops within one run and returns ctx.Err(). The annotated fast path
+// does no event work and ignores ctx.
+func BuildPlanContext(ctx context.Context, tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error) {
+	if err := validateOptions(opts); err != nil {
+		return nil, err
+	}
+	if p := planFromAnnotations(tr, opts); p != nil {
+		return p, nil
+	}
+	p := newPlan(tr, opts)
+	p.prescan(ctx, tieSeed, nil)
+	if p.scanErr != nil {
+		return nil, p.scanErr
+	}
+	return p, nil
+}
+
+// planFromAnnotations assembles a complete plan from the trace's recorded
+// stamp annotations without scanning any events: each annotated run becomes
+// a segment, reads share the decoded stamp slices, and threads are ordered
+// by their first run's entry count — which is exactly first appearance in
+// the merged order, because every thread switch bumps the counter. It
+// returns nil (the caller falls back to the pre-scan) for an unannotated
+// trace, or if the annotations are internally inconsistent, which the
+// decoder rules out for traces it marks Annotated but a hand-mutated trace
+// could still exhibit.
+func planFromAnnotations(tr *trace.Trace, opts core.Options) *Plan {
+	if !tr.Annotated {
+		return nil
+	}
+	p := newPlan(tr, opts)
+	p.annotated, p.scanned = true, true
 	type firstOf struct {
 		tp    *threadPlan
 		start uint64
@@ -297,9 +394,10 @@ func planFromAnnotations(tr *trace.Trace, opts core.Options) (*Plan, bool) {
 		}
 		ann := tt.Ann
 		if ann == nil {
-			return nil, false
+			return nil
 		}
-		tp := &threadPlan{id: tt.ID, events: len(tt.Events)}
+		tp := newThreadPlan(tt.ID, true)
+		tp.events, tp.closed = len(tt.Events), true
 		if !opts.RMSOnly {
 			tp.reads = ann.Stamps
 		}
@@ -308,7 +406,7 @@ func planFromAnnotations(tr *trace.Trace, opts core.Options) (*Plan, bool) {
 		for _, run := range ann.Runs {
 			if run.Events <= 0 {
 				if run.Events < 0 {
-					return nil, false
+					return nil
 				}
 				continue
 			}
@@ -320,18 +418,18 @@ func planFromAnnotations(tr *trace.Trace, opts core.Options) (*Plan, bool) {
 				// The rms-only counter skips kernel-write bumps; recover its
 				// image by subtracting the recorded bump tally.
 				if run.KernelBumps > run.StartCount {
-					return nil, false
+					return nil
 				}
 				start -= run.KernelBumps
 			}
 			if lo+run.Events > len(tt.Events) {
-				return nil, false
+				return nil
 			}
 			tp.segments = append(tp.segments, segment{src: ti, lo: lo, hi: lo + run.Events, startCount: start})
 			lo += run.Events
 		}
 		if lo != len(tt.Events) {
-			return nil, false
+			return nil
 		}
 		order = append(order, firstOf{tp: tp, start: first})
 	}
@@ -340,190 +438,14 @@ func planFromAnnotations(tr *trace.Trace, opts core.Options) (*Plan, bool) {
 	for i, o := range order {
 		p.threads[i] = o.tp
 	}
-	return p, true
-}
-
-// BuildPlanContext is BuildPlan with cancellation: ctx is polled once per
-// merged scheduler run (the fallback pre-scan's natural work unit), so a
-// canceled scan stops within one run and returns ctx.Err(). The annotated
-// fast path does no event work and ignores ctx.
-func BuildPlanContext(ctx context.Context, tr *trace.Trace, tieSeed int64, opts core.Options) (*Plan, error) {
-	if err := validateOptions(opts); err != nil {
-		return nil, err
-	}
-	if tr.Annotated {
-		if p, ok := planFromAnnotations(tr, opts); ok {
-			return p, nil
-		}
-	}
-
-	p := &Plan{tr: tr, opts: opts, wide: 2*uint64(tr.NumEvents())+2 >= 1<<32}
-	byID := make(map[guest.ThreadID]*threadPlan)
-	// Pre-size each thread's annotation array with a flat per-thread pass:
-	// cheaper than growing it append by append during the merged walk.
-	nreads := make(map[guest.ThreadID]int)
-	if !opts.RMSOnly {
-		for i := range tr.Threads {
-			tt := &tr.Threads[i]
-			n := 0
-			for j := range tt.Events {
-				if k := tt.Events[j].Kind; k == trace.KindRead || k == trace.KindKernelRead {
-					n++
-				}
-			}
-			nreads[tt.ID] += n
-		}
-	}
-	planFor := func(id guest.ThreadID) *threadPlan {
-		tp := byID[id]
-		if tp == nil {
-			tp = &threadPlan{id: id}
-			if n := nreads[id]; n > 0 {
-				if p.wide {
-					tp.reads = make([]trace.Stamp, 0, n)
-				} else {
-					tp.packed = make([]uint64, 0, n)
-				}
-			}
-			byID[id] = tp
-			p.threads = append(p.threads, tp)
-		}
-		return tp
-	}
-
-	var (
-		count   uint64
-		cur     *threadPlan
-		curSeg  segment
-		haveSeg bool
-	)
-	closeSeg := func() {
-		if haveSeg {
-			cur.segments = append(cur.segments, curSeg)
-			cur.events += curSeg.hi - curSeg.lo
-			haveSeg = false
-		}
-	}
-	// boundary starts a new segment at event k of thread trace ti. The merge
-	// synthesizes a switchThread event — which bumps the counter — exactly
-	// when the thread id changes; a run can also end without a switch if two
-	// thread traces share an id. Called only at segment boundaries, so the
-	// per-event cost of the scan loops below is one comparison.
-	boundary := func(ti, k int, e *trace.Event) {
-		if haveSeg && curSeg.src == ti {
-			curSeg.hi = k
-		}
-		bump := haveSeg && cur.id != e.Thread
-		closeSeg()
-		if bump {
-			count++
-		}
-		cur = planFor(e.Thread)
-		curSeg = segment{src: ti, lo: k, hi: k, startCount: count}
-		haveSeg = true
-	}
-
-	// One flat inner loop per mode, fed whole same-thread runs by WalkRuns:
-	// no global write shadow under RMSOnly (and kernel writes do not bump),
-	// packed single-word stamps in narrow mode, full pairs in wide mode.
-	// Cancellation is polled once per run; once ctxErr is set the remaining
-	// runs are skipped cheaply.
-	var ctxErr error
-	checkCtx := func() bool {
-		if ctxErr == nil {
-			ctxErr = ctx.Err()
-		}
-		return ctxErr != nil
-	}
-	switch {
-	case opts.RMSOnly:
-		trace.WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
-			if checkCtx() {
-				return
-			}
-			tt := &tr.Threads[ti]
-			for k := lo; k < hi; k++ {
-				e := &tt.Events[k]
-				if !haveSeg || cur.id != e.Thread || curSeg.src != ti {
-					boundary(ti, k, e)
-				}
-				if e.Kind == trace.KindCall || e.Kind == trace.KindSwitch {
-					count++
-				}
-			}
-			if haveSeg && curSeg.src == ti {
-				curSeg.hi = hi
-			}
-		})
-	case p.wide:
-		global := shadow.NewTable[trace.Stamp]()
-		trace.WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
-			if checkCtx() {
-				return
-			}
-			tt := &tr.Threads[ti]
-			for k := lo; k < hi; k++ {
-				e := &tt.Events[k]
-				if !haveSeg || cur.id != e.Thread || curSeg.src != ti {
-					boundary(ti, k, e)
-				}
-				switch e.Kind {
-				case trace.KindCall, trace.KindSwitch:
-					count++
-				case trace.KindKernelWrite:
-					count++
-					global.Set(guest.Addr(e.Arg), trace.Stamp{WTS: count, Writer: kernelWriter})
-				case trace.KindWrite:
-					global.Set(guest.Addr(e.Arg), trace.Stamp{WTS: count, Writer: uint32(e.Thread) + 1})
-				case trace.KindRead, trace.KindKernelRead:
-					cur.reads = append(cur.reads, global.Peek(guest.Addr(e.Arg)))
-				}
-			}
-			if haveSeg && curSeg.src == ti {
-				curSeg.hi = hi
-			}
-		})
-	default:
-		global := shadow.NewTable[uint64]()
-		trace.WalkRuns(tr, tieSeed, func(ti, lo, hi int) {
-			if checkCtx() {
-				return
-			}
-			tt := &tr.Threads[ti]
-			for k := lo; k < hi; k++ {
-				e := &tt.Events[k]
-				if !haveSeg || cur.id != e.Thread || curSeg.src != ti {
-					boundary(ti, k, e)
-				}
-				switch e.Kind {
-				case trace.KindCall, trace.KindSwitch:
-					count++
-				case trace.KindKernelWrite:
-					count++
-					global.Set(guest.Addr(e.Arg), count<<32|uint64(kernelWriter))
-				case trace.KindWrite:
-					global.Set(guest.Addr(e.Arg), count<<32|uint64(uint32(e.Thread)+1))
-				case trace.KindRead, trace.KindKernelRead:
-					cur.packed = append(cur.packed, global.Peek(guest.Addr(e.Arg)))
-				}
-			}
-			if haveSeg && curSeg.src == ti {
-				curSeg.hi = hi
-			}
-		})
-	}
-	closeSeg()
-	if ctxErr != nil {
-		return nil, fmt.Errorf("pipeline: pre-scan canceled: %w", ctxErr)
-	}
-	return p, nil
+	return p
 }
 
 // NumThreads returns the number of guest threads the plan shards work into —
 // the pipeline's maximum useful parallelism.
 func (p *Plan) NumThreads() int { return len(p.threads) }
 
-// NumSegments returns the total number of thread-switch-bounded segments.
+// NumSegments returns the total number of segments.
 func (p *Plan) NumSegments() int {
 	n := 0
 	for _, tp := range p.threads {
@@ -547,12 +469,25 @@ func (p *Plan) Run(workers int) (*core.Profile, error) {
 // workers drain cleanly, and the first failure (in deterministic thread
 // order) is returned. When ctx is canceled, threads not yet started are
 // skipped and ctx.Err() is returned after in-flight threads finish.
+//
+// On a plan whose pre-scan is still running, each thread's worker starts as
+// soon as the scan discovers the thread and trails it segment by segment;
+// RunContext returns only after the scan has finished.
 func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	reg := p.Telemetry
 	reg.Gauge("pipeline/workers").Set(int64(workers))
+
+	ckpt := p.Checkpoint != nil && p.Checkpoint.enabled()
+	if ckpt || p.Resume != nil {
+		// Checkpoint positions are (thread, segment, offset) coordinates in
+		// the whole plan, fingerprinted by every thread's segment count.
+		if err := p.wait(); err != nil {
+			return nil, err
+		}
+	}
 
 	// Resume: validate the checkpoint against this plan, drop any state
 	// that fails cross-checking (that thread restarts from scratch), and
@@ -581,7 +516,7 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	// the resumed states so an early re-kill cannot lose progress of
 	// threads whose workers have not submitted yet.
 	var mgr *ckptManager
-	if p.Checkpoint != nil && p.Checkpoint.enabled() {
+	if ckpt {
 		mgr = newCkptManager(p, *p.Checkpoint, reg, resumeStates)
 	}
 
@@ -589,7 +524,7 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	// shared atomic at segment granularity and report the running total.
 	// The onSegment hook stays nil when neither progress nor telemetry is
 	// wanted, so the default run carries no atomic traffic.
-	total := p.NumEvents()
+	total := uint64(p.tr.NumEvents()) // a plan covers every event of its trace
 	var processed atomic.Uint64
 	processed.Store(skipped) // resumed work counts as already done
 	var onSegment func(events int)
@@ -630,40 +565,38 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 		return prof, err
 	}
 
+	// Dispatch each thread, in discovery order, to a pool slot. A plan has
+	// at most one thread per thread trace.
 	runStart := time.Now()
-	results := make([]*core.Profile, len(p.threads))
-	errs := make([]error, len(p.threads))
-	if workers == 1 {
-		for i, tp := range p.threads {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				break
-			}
+	results := make([]*core.Profile, len(p.tr.Threads))
+	errs := make([]error, len(p.tr.Threads))
+	var ctxErr error
+	var wg sync.WaitGroup
+	queueHist := reg.Histogram("pipeline/queue_wait_ns")
+	sem := make(chan struct{}, workers)
+	n := 0
+	for ; ; n++ {
+		if ctxErr = ctx.Err(); ctxErr != nil {
+			break
+		}
+		tp := p.thread(n)
+		if tp == nil {
+			break
+		}
+		wg.Add(1)
+		enqueued := time.Now()
+		sem <- struct{}{}
+		queueHist.Observe(uint64(time.Since(enqueued)))
+		go func(i int, tp *threadPlan) {
+			defer wg.Done()
 			results[i], errs[i] = analyze(ctx, i, tp)
-		}
-	} else {
-		var wg sync.WaitGroup
-		queueHist := reg.Histogram("pipeline/queue_wait_ns")
-		sem := make(chan struct{}, workers)
-		for i, tp := range p.threads {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				break
-			}
-			wg.Add(1)
-			enqueued := time.Now()
-			sem <- struct{}{}
-			queueHist.Observe(uint64(time.Since(enqueued)))
-			go func(i int, tp *threadPlan) {
-				defer wg.Done()
-				results[i], errs[i] = analyze(ctx, i, tp)
-				<-sem
-			}(i, tp)
-		}
-		wg.Wait()
+			<-sem
+		}(n, tp)
 	}
+	wg.Wait()
+	scanErr := p.wait()
 	if reg != nil {
-		reg.Counter("pipeline/threads_analyzed").Add(uint64(len(p.threads)))
+		reg.Counter("pipeline/threads_analyzed").Add(uint64(n))
 		if wall := time.Since(runStart); wall > 0 && workers > 0 {
 			util := 100 * busyNS.Load() / (int64(wall) * int64(workers))
 			reg.Gauge("pipeline/utilization_pct").Set(util)
@@ -671,7 +604,7 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	}
 
 	var firstErr error
-	for _, err := range errs {
+	for _, err := range append(errs[:n], ctxErr, scanErr) {
 		if err != nil {
 			firstErr = err
 			break
@@ -690,8 +623,8 @@ func (p *Plan) RunContext(ctx context.Context, workers int) (*core.Profile, erro
 	// the continuous daemon uses across time windows: each worker's profile
 	// is one partial of the execution's activation multiset.
 	mergeSpan := reg.StartSpan(ctx, "pipeline/merge")
-	parts := make([]*core.PartialProfile, len(results))
-	for i, r := range results {
+	parts := make([]*core.PartialProfile, n)
+	for i, r := range results[:n] {
 		parts[i] = core.NewPartialProfile(r)
 	}
 	out := core.MergePartials(parts...).Profile

@@ -6,11 +6,15 @@ package pipeline
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/guest"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -70,7 +74,8 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 }
 
 // TestAnalyzeContextCancel: a canceled context aborts both the pre-scan and
-// the worker phase with ctx.Err().
+// the worker phase with ctx.Err(), whether it is canceled before the call
+// or in the middle of the run.
 func TestAnalyzeContextCancel(t *testing.T) {
 	tr := robustTrace(3, 50)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -85,6 +90,33 @@ func TestAnalyzeContextCancel(t *testing.T) {
 	}
 	if _, err := plan.RunContext(ctx, 2); err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Fatalf("RunContext on canceled ctx = %v, want context.Canceled", err)
+	}
+
+	// Cancel an unannotated trace's run from its first progress report,
+	// while the pre-scan running alongside the workers is still far from
+	// done: the run stops early with context.Canceled, and the pre-scan and
+	// worker goroutines all exit.
+	big := robustTrace(4, 40000)
+	for _, workers := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		reg := telemetry.NewRegistry()
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := AnalyzeContext(ctx, big, Options{Workers: workers, Telemetry: reg,
+			Progress: func(uint64, uint64) { cancel() }})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: canceled mid-pre-scan = %v, want context.Canceled", workers, err)
+		}
+		if done := reg.Snapshot().Counters["pipeline/events_processed"]; done >= uint64(big.NumEvents()) {
+			t.Fatalf("workers=%d: all %d events analyzed despite the cancel", workers, done)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: goroutines leaked: %d before, %d after", workers, before, runtime.NumGoroutine())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

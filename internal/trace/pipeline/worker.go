@@ -25,6 +25,8 @@ type cell interface {
 // per-routine histogram aggregation. Global information — the counter at
 // segment entry and the (wts, writer) pair each read observes — comes
 // precomputed from the plan, so threads are analyzed fully independently.
+// The worker fetches the thread plan's segments as the pre-scan publishes
+// them, and consumes a complete plan without waiting.
 //
 // The logic mirrors core.Profiler event for event, with never-renumbered
 // counter values in place of the inline profiler's renumbered timestamps;
@@ -65,23 +67,16 @@ type workerCkpt struct {
 // per-thread analysis; the robustness tests use it to inject worker panics.
 var workerPanicHook func(guest.ThreadID)
 
-// readSource supplies the (wts, writer) pair observed by a thread's i-th
-// read. A materialized plan's threadPlan serves reads from its pre-scan or
-// annotation arrays; the streaming fallback serves them from its
-// incrementally published per-thread shards.
-type readSource interface {
-	readAt(i int) (uint64, uint32)
-}
-
 func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, onSegment func(int), ck *workerCkpt, resume *workerState) (prof *core.Profile, err error) {
+	var segs []segment // the plan's prefix fetched last
 	segIdx := -1
 	defer func() {
 		if r := recover(); r != nil {
 			seg := "before any segment"
-			if segIdx >= 0 && segIdx < len(tp.segments) {
-				s := tp.segments[segIdx]
-				seg = fmt.Sprintf("segment %d of %d (thread trace %d, events [%d:%d), start count %d)",
-					segIdx, len(tp.segments), s.src, s.lo, s.hi, s.startCount)
+			if segIdx >= 0 && segIdx < len(segs) {
+				s := segs[segIdx]
+				seg = fmt.Sprintf("segment %d (thread trace %d, events [%d:%d), start count %d)",
+					segIdx, s.src, s.lo, s.hi, s.startCount)
 			}
 			prof, err = nil, fmt.Errorf("pipeline: worker for thread %d panicked in %s: %v", tp.id, seg, r)
 		}
@@ -90,14 +85,15 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 		workerPanicHook(tp.id)
 	}
 	w := &worker[C]{
-		tr:   tr,
-		id:   tp.id,
-		opts: opts,
-		ts:   shadow.NewTable[C](),
-		acts: make(map[guest.RoutineID]*core.Activations),
-		ck:   ck,
+		tr:      tr,
+		id:      tp.id,
+		opts:    opts,
+		ts:      shadow.NewTable[C](),
+		acts:    make(map[guest.RoutineID]*core.Activations),
+		ck:      ck,
+		stamped: tp.stamped,
 	}
-	startSeg, startOff := 0, 0
+	next, resumeOff := 0, -1
 	if resume != nil {
 		if resume.done {
 			// The thread finished before the checkpoint: its profile is
@@ -105,46 +101,56 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 			return stateProfile(tr, resume), nil
 		}
 		w.restore(resume)
-		startSeg, startOff = resume.segIdx, resume.off
+		next, resumeOff = resume.segIdx, resume.off
 	}
-	for i := startSeg; i < len(tp.segments); i++ {
-		segIdx = i
-		seg := tp.segments[i]
-		events := tr.Threads[seg.src].Events[seg.lo:seg.hi]
-		off := 0
-		if i == startSeg && resume != nil {
-			// Mid-segment resume: the restored counter image is already
-			// correct at the recorded offset.
-			off = startOff
-		} else {
-			w.count = seg.startCount
+	for {
+		var ferr error
+		segs, w.packed, w.reads, ferr = tp.fetch(next)
+		if ferr != nil {
+			return nil, ferr
 		}
-		firstOff := off
-		for {
-			if err := ctx.Err(); err != nil {
-				w.cancelCkpt(i, off)
-				return nil, err
-			}
-			if off >= len(events) {
-				break
-			}
-			end := len(events)
-			if ck != nil && off+safepointStride < end {
-				end = off + safepointStride
-			}
-			for j := off; j < end; j++ {
-				w.step(&events[j], tp)
-			}
-			done := end - off
-			off = end
-			w.events += uint64(done)
-			if ck != nil {
-				ck.sinceSnap += done
-				w.safepoint(i, off)
-			}
+		if next >= len(segs) {
+			break // closed
 		}
-		if onSegment != nil {
-			onSegment(len(events) - firstOff)
+		for ; next < len(segs); next++ {
+			segIdx = next
+			seg := segs[next]
+			events := tr.Threads[seg.src].Events[seg.lo:seg.hi]
+			off := 0
+			if resumeOff >= 0 {
+				// Mid-segment resume: the restored counter image is already
+				// correct at the recorded offset.
+				off, resumeOff = resumeOff, -1
+			} else {
+				w.count = seg.startCount
+			}
+			firstOff := off
+			for {
+				if err := ctx.Err(); err != nil {
+					w.cancelCkpt(next, off)
+					return nil, err
+				}
+				if off >= len(events) {
+					break
+				}
+				end := len(events)
+				if ck != nil && off+safepointStride < end {
+					end = off + safepointStride
+				}
+				for j := off; j < end; j++ {
+					w.step(&events[j])
+				}
+				done := end - off
+				off = end
+				w.events += uint64(done)
+				if ck != nil {
+					ck.sinceSnap += done
+					w.safepoint(next, off)
+				}
+			}
+			if onSegment != nil {
+				onSegment(len(events) - firstOff)
+			}
 		}
 	}
 	if ck != nil {
@@ -293,7 +299,12 @@ type worker[C cell] struct {
 	opts core.Options
 
 	count    uint64 // local image of the global counter
-	nextRead int    // cursor into the threadPlan's read annotations
+	nextRead int    // cursor into the thread's read stamps
+
+	// The thread plan's stamps fetched last; stamped picks the one in use.
+	stamped bool
+	packed  []uint64
+	reads   []trace.Stamp
 
 	ts    *shadow.Table[C] // the thread's latest-access shadow memory
 	stack []frame
@@ -325,7 +336,17 @@ type frame struct {
 	inducedExternal uint64
 }
 
-func (w *worker[C]) step(e *trace.Event, rs readSource) {
+// readAt returns the (wts, writer) pair observed by the thread's i-th read.
+func (w *worker[C]) readAt(i int) (uint64, uint32) {
+	if w.stamped {
+		st := w.reads[i]
+		return st.WTS, st.Writer
+	}
+	g := w.packed[i]
+	return g >> 32, uint32(g)
+}
+
+func (w *worker[C]) step(e *trace.Event) {
 	switch e.Kind {
 	case trace.KindCall:
 		w.count++
@@ -358,7 +379,7 @@ func (w *worker[C]) step(e *trace.Event, rs readSource) {
 		var wts uint64
 		var writer uint32
 		if !w.opts.RMSOnly {
-			wts, writer = rs.readAt(w.nextRead)
+			wts, writer = w.readAt(w.nextRead)
 			w.nextRead++
 		}
 		w.read(guest.Addr(e.Arg), wts, writer)

@@ -83,7 +83,6 @@ type RecoveryReport struct {
 	Version byte
 	// BlocksSeen counts every block the salvage scan encountered —
 	// salvaged or dropped, of any kind — up to the point the scan stopped.
-	// Zero for v1 traces, which have no block structure.
 	BlocksSeen int
 	// SalvagedBlocks counts the blocks consumed intact (name tables,
 	// event segments and the footer). BlocksSeen - SalvagedBlocks ==
@@ -171,37 +170,17 @@ func (r *RecoveryReport) String() string {
 // unchanged. Recover never panics on arbitrary input.
 //
 // An error is returned only when the input cannot be identified as a trace
-// at all (bad magic, unknown version) or, for v1 traces — which carry no
-// checksums and no segment structure — when the strict decode fails.
-// Otherwise the error is nil and the report, which is always non-nil in
+// at all (bad magic, unknown version). Otherwise the error is nil and the report, which is always non-nil in
 // that case, describes the salvage, even when nothing was salvageable.
 func Recover(r io.Reader) (*Trace, *RecoveryReport, error) {
 	br := bufio.NewReader(r)
-	ver, err := readPrelude(br)
-	if err != nil {
+	if err := readPrelude(br); err != nil {
 		return nil, nil, err
-	}
-	if ver == legacyVersion {
-		tr, err := decodeV1(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("trace: v1 trace has no segment checksums and cannot be partially recovered: %w", err)
-		}
-		rep := &RecoveryReport{Version: ver, FooterValid: true, ExpectedEvents: tr.NumEvents()}
-		for i := range tr.Threads {
-			tt := &tr.Threads[i]
-			rep.PerThread = append(rep.PerThread, ThreadRecovery{ID: tt.ID, Segments: 1, Events: len(tt.Events)})
-			rep.SalvagedEvents += len(tt.Events)
-			rep.SalvagedSegments++
-		}
-		return tr, rep, nil
-	}
-	if ver != formatVersion {
-		return nil, nil, &VersionError{Want: formatVersion, Got: ver}
 	}
 
 	t := &trackReader{br: br, n: preludeLen}
 	b := newTraceBuilder()
-	rep := &RecoveryReport{Version: ver, ExpectedEvents: -1}
+	rep := &RecoveryReport{Version: formatVersion, ExpectedEvents: -1}
 	segs := make(map[guest.ThreadID]int)
 
 scan:
@@ -368,9 +347,6 @@ type VerifyReport struct {
 	FooterValid bool
 	// Truncated reports that the input ended unexpectedly.
 	Truncated bool
-	// StrictErr is the strict-decode outcome for v1 traces, which have no
-	// per-block structure to walk; nil means the trace decoded fully.
-	StrictErr error
 }
 
 // Intact counts the blocks that verified clean. Every walked block is
@@ -379,43 +355,23 @@ type VerifyReport struct {
 func (vr *VerifyReport) Intact() int { return len(vr.Blocks) - vr.Bad }
 
 // OK reports whether the trace verified clean: every checksum matched and
-// the footer was present (v2), or the strict decode succeeded (v1).
+// the footer was present.
 func (vr *VerifyReport) OK() bool {
-	if vr.Version == legacyVersion {
-		return vr.StrictErr == nil
-	}
 	return vr.Bad == 0 && vr.FooterValid && !vr.Truncated
 }
 
 // Verify walks a trace file's blocks, checking every checksum without
 // materializing events, and reports per-block diagnostics. Unlike Recover
 // it keeps scanning past corrupt name-table blocks (it resolves no ids), and
-// stops only at framing damage or truncation. For v1 traces, which carry no
-// checksums, it falls back to a strict decode and reports only overall
-// success or failure in StrictErr.
+// stops only at framing damage or truncation.
 func Verify(r io.Reader) (*VerifyReport, error) {
 	br := bufio.NewReader(r)
-	ver, err := readPrelude(br)
-	if err != nil {
+	if err := readPrelude(br); err != nil {
 		return nil, err
-	}
-	if ver == legacyVersion {
-		vr := &VerifyReport{Version: ver}
-		tr, err := decodeV1(br)
-		if err != nil {
-			vr.StrictErr = err
-		} else {
-			vr.Events = tr.NumEvents()
-			vr.Threads = len(tr.Threads)
-		}
-		return vr, nil
-	}
-	if ver != formatVersion {
-		return nil, &VersionError{Want: formatVersion, Got: ver}
 	}
 
 	t := &trackReader{br: br, n: preludeLen}
-	vr := &VerifyReport{Version: ver}
+	vr := &VerifyReport{Version: formatVersion}
 	threads := make(map[guest.ThreadID]bool)
 	for {
 		blk, err := readBlock(t)

@@ -365,8 +365,10 @@ func TestCombineRejectsIncompatibleShards(t *testing.T) {
 	}
 }
 
-// TestDecodeVersionError: decoding a future-format trace yields the typed
-// version error, and decoded traces carry their wire version.
+// TestDecodeVersionError: decoding, recovering or verifying a trace of an
+// unsupported format version — a future one, or the retired unframed v1 —
+// yields the typed version error, and decoded traces carry their wire
+// version.
 func TestDecodeVersionError(t *testing.T) {
 	rec := trace.NewRecorder()
 	exampleRun(t, 6, rec)
@@ -382,14 +384,20 @@ func TestDecodeVersionError(t *testing.T) {
 	if got.Version != trace.FormatVersion() {
 		t.Errorf("decoded Version = %d, want %d", got.Version, trace.FormatVersion())
 	}
-	raw[8] = 7 // corrupt the version byte
-	_, err = trace.Decode(bytes.NewReader(raw))
-	var ve *trace.VersionError
-	if !errors.As(err, &ve) {
-		t.Fatalf("Decode error = %v, want *trace.VersionError", err)
-	}
-	if ve.Got != 7 {
-		t.Errorf("VersionError.Got = %d, want 7", ve.Got)
+	for _, ver := range []byte{7, 1} {
+		raw[8] = ver // rewrite the version byte
+		_, decErr := trace.Decode(bytes.NewReader(raw))
+		_, _, recErr := trace.Recover(bytes.NewReader(raw))
+		_, verErr := trace.Verify(bytes.NewReader(raw))
+		for name, err := range map[string]error{"Decode": decErr, "Recover": recErr, "Verify": verErr} {
+			var ve *trace.VersionError
+			if !errors.As(err, &ve) {
+				t.Fatalf("version %d: %s error = %v, want *trace.VersionError", ver, name, err)
+			}
+			if *ve != (trace.VersionError{Want: 2, Got: ver}) {
+				t.Errorf("version %d: %s error = %+v, want {Want:2 Got:%d}", ver, name, *ve, ver)
+			}
+		}
 	}
 }
 

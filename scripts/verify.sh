@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification gate: build, tests (including the doc-comment and
-# gofmt lints in lint_test.go), vet, and a formatting check. Run from the
-# repository root. Fails fast on the first broken step.
+# gofmt lints in lint_test.go), vet, the perfbench module's vet and tests,
+# and a formatting check. Run from the repository root. Fails fast on the
+# first broken step.
 #
 # Optional flags:
 #   -race   additionally run the full test suite under the race detector
@@ -32,6 +33,11 @@ go test ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== perfbench: go vet and go test (nested module)"
+# perfbench is a module of its own, so the root build and tests above
+# never compile it, yet it calls the pipeline, core and workloads APIs.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== gofmt -l ."
 unformatted=$(gofmt -l .)
