@@ -621,9 +621,10 @@ func analyze(args []string) error {
 		}
 	}
 	if prof.Sampling() == aprof.SamplingSuppress {
-		// Suppression is profile-identical, so the pipeline can run it too
-		// and the strict cross-check below doubles as its byte-identity
-		// smoke test.
+		// Suppression is profile-identical, so the pipeline's exact
+		// profile must equal the inline suppress one, and the strict
+		// cross-check below doubles as its byte-identity smoke test. The
+		// pipeline accepts the setting but never runs the filter.
 		opts.Profile = aprof.Options{Sampling: aprof.SamplingSuppress}
 	}
 	if tr.Annotated {

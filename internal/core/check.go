@@ -119,41 +119,30 @@ func (p *Profiler) routineName(r guest.RoutineID) string {
 // and the ancestor-adjustment rule rely on) and stay within the counter
 // bound.
 func (p *Profiler) checkCall(tv *threadView) {
-	n := len(tv.stack)
-	f := &tv.stack[n-1]
-	if f.ts == 0 || f.ts > p.count {
-		p.violatef("counter/bound", tv.id, p.routineName(f.rtn),
-			"activation timestamp %d outside (0, count=%d]", f.ts, p.count)
+	n := len(tv.Stack)
+	f := &tv.Stack[n-1]
+	if f.TS == 0 || f.TS > p.count {
+		p.violatef("counter/bound", tv.ID, p.routineName(f.Rtn),
+			"activation timestamp %d outside (0, count=%d]", f.TS, p.count)
 	}
-	if n > 1 && tv.stack[n-2].ts >= f.ts {
-		p.violatef("counter/monotone", tv.id, p.routineName(f.rtn),
-			"activation timestamp %d not above parent's %d", f.ts, tv.stack[n-2].ts)
+	if n > 1 && tv.Stack[n-2].TS >= f.TS {
+		p.violatef("counter/monotone", tv.ID, p.routineName(f.Rtn),
+			"activation timestamp %d not above parent's %d", f.TS, tv.Stack[n-2].TS)
 	}
 }
 
 // checkReturn validates a completed activation's final metrics before they
-// fold into the parent. At return time the frame is the top of the stack,
-// so by Invariant 2 its partial values are the activation's totals: the
-// paper's Definition 1 makes rms a set cardinality (never negative), trms
-// extends rms by induced first-accesses only (trms >= rms), and every unit
-// of trms beyond rms must be accounted for by a recorded induced
-// first-access of the activation's subtree.
-func (p *Profiler) checkReturn(tv *threadView, f *frame) {
-	name := ""
-	if f.rms < 0 || f.trms < f.rms || f.trms > f.rms+int64(f.inducedThread)+int64(f.inducedExternal) {
-		name = p.routineName(f.rtn)
-	} else {
+// fold into the parent, reporting each violated invariant (Frame.Malformed)
+// separately.
+func (p *Profiler) checkReturn(tv *threadView, f *Frame[uint32]) {
+	bad := f.Malformed()
+	if bad == nil {
 		return
 	}
-	if f.rms < 0 {
-		p.violatef("activation/rms-nonneg", tv.id, name, "final rms = %d", f.rms)
-	}
-	if f.trms < f.rms {
-		p.violatef("activation/trms-ge-rms", tv.id, name, "trms = %d < rms = %d", f.trms, f.rms)
-	}
-	if f.trms > f.rms+int64(f.inducedThread)+int64(f.inducedExternal) {
-		p.violatef("activation/trms-bound", tv.id, name,
-			"trms = %d exceeds rms = %d + induced %d+%d", f.trms, f.rms, f.inducedThread, f.inducedExternal)
+	name := p.routineName(f.Rtn)
+	for _, check := range bad {
+		p.violatef(check, tv.ID, name, "trms = %d, rms = %d, induced %d+%d",
+			f.TRMS, f.RMS, f.InducedThread, f.InducedExternal)
 	}
 }
 
@@ -166,7 +155,7 @@ func (p *Profiler) checkFinish() {
 		if tv.ts == nil {
 			continue
 		}
-		id := tv.id
+		id := tv.ID
 		tv.ts.Range(func(a guest.Addr, v uint32) {
 			if v > p.count {
 				p.violatef("shadow/ts-bound", id, "",
@@ -235,7 +224,7 @@ func (p *Profiler) snapshotRelations() *renumberSnap {
 	for _, tv := range p.threads {
 		ts := threadRelSnap{tv: tv}
 		ts.cells = make([]cellRel, 0, tv.ts.NonZero())
-		stack := tv.stack
+		stack := tv.Stack
 		tv.ts.Range(func(a guest.Addr, v uint32) {
 			w := uint32(p.global.Peek(a) >> 32)
 			ts.cells = append(ts.cells, cellRel{
@@ -264,37 +253,37 @@ func (p *Profiler) snapshotRelations() *renumberSnap {
 func (p *Profiler) verifyRenumber(snap *renumberSnap, newCount uint32) {
 	for _, ts := range snap.threads {
 		tv := ts.tv
-		for i := 1; i < len(tv.stack); i++ {
-			if tv.stack[i-1].ts >= tv.stack[i].ts {
-				p.violatef("renumber/order", tv.id, p.routineName(tv.stack[i].rtn),
+		for i := 1; i < len(tv.Stack); i++ {
+			if tv.Stack[i-1].TS >= tv.Stack[i].TS {
+				p.violatef("renumber/order", tv.ID, p.routineName(tv.Stack[i].Rtn),
 					"remapped frame timestamps not increasing: %d then %d",
-					tv.stack[i-1].ts, tv.stack[i].ts)
+					tv.Stack[i-1].TS, tv.Stack[i].TS)
 			}
 		}
 		for _, c := range ts.cells {
 			nv := tv.ts.Peek(c.addr)
 			nw := uint32(p.global.Peek(c.addr) >> 32)
 			if nv >= newCount {
-				p.violatef("renumber/bound", tv.id, "",
+				p.violatef("renumber/bound", tv.ID, "",
 					"cell %#x remapped timestamp %d >= new counter %d", uint64(c.addr), nv, newCount)
 			}
 			if nv == 0 {
 				if c.rel != -1 || c.rank != -1 {
-					p.violatef("renumber/order", tv.id, "",
+					p.violatef("renumber/order", tv.ID, "",
 						"cell %#x collapsed to 0 but had rel=%d rank=%d", uint64(c.addr), c.rel, c.rank)
 				} else if nw == 0 {
-					p.violatef("renumber/order", tv.id, "",
+					p.violatef("renumber/order", tv.ID, "",
 						"cell %#x collapsed to 0 but its write timestamp vanished", uint64(c.addr))
 				}
 				continue
 			}
 			if got := cmpTS(nv, nw); got != c.rel {
-				p.violatef("renumber/order", tv.id, "",
+				p.violatef("renumber/order", tv.ID, "",
 					"cell %#x ts-vs-wts relation changed: was %d, now %d (ts=%d wts=%d)",
 					uint64(c.addr), c.rel, got, nv, nw)
 			}
-			if got := int32(findFrame(tv.stack, nv)); got != c.rank {
-				p.violatef("renumber/order", tv.id, "",
+			if got := int32(findFrame(tv.Stack, nv)); got != c.rank {
+				p.violatef("renumber/order", tv.ID, "",
 					"cell %#x activation rank changed: was %d, now %d (ts=%d)",
 					uint64(c.addr), c.rank, got, nv)
 			}

@@ -504,7 +504,7 @@ func TestMergedAcrossThreads(t *testing.T) {
 }
 
 func TestFindFrame(t *testing.T) {
-	stack := []frame{{ts: 2}, {ts: 5}, {ts: 9}}
+	stack := []Frame[uint32]{{TS: 2}, {TS: 5}, {TS: 9}}
 	cases := []struct {
 		ts   uint32
 		want int
@@ -514,7 +514,7 @@ func TestFindFrame(t *testing.T) {
 			t.Errorf("findFrame(%d) = %d, want %d", c.ts, got, c.want)
 		}
 	}
-	if got := findFrame(nil, 5); got != -1 {
+	if got := findFrame[uint32](nil, 5); got != -1 {
 		t.Errorf("findFrame on empty stack = %d, want -1", got)
 	}
 }

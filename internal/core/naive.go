@@ -99,13 +99,7 @@ func (n *Naive) Return(t guest.ThreadID, r guest.RoutineID, bb uint64) {
 	tv.stack = tv.stack[:len(tv.stack)-1]
 
 	name := n.env.RoutineName(f.rtn)
-	n.profile.record(name, t, frame{
-		rtn:             f.rtn,
-		trms:            f.trms,
-		rms:             f.rms,
-		inducedThread:   f.inducedThread,
-		inducedExternal: f.inducedExternal,
-	}, bb-f.bbEnter)
+	n.profile.record(name, t, f.trms, f.rms, f.inducedThread, f.inducedExternal, bb-f.bbEnter)
 
 	// A completed subtree's accesses belong to the parent's subtree; its
 	// metrics were counted per-frame already.

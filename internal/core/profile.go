@@ -120,13 +120,6 @@ func (a *Activations) Record(trms, rms, inducedThread, inducedExternal, cost uin
 	pr.add(cost)
 }
 
-func (a *Activations) record(f frame, cost uint64) {
-	a.Record(clampMetric(f.trms), clampMetric(f.rms), f.inducedThread, f.inducedExternal, cost)
-	if f.partial {
-		a.PartialCalls++
-	}
-}
-
 // RecordSampledOut folds one activation that ran without measurement (burst
 // sampling) into the aggregate: the call and its cost are counted, and the
 // sampled-out totals advance so consistency checks and reports can separate
@@ -315,7 +308,7 @@ func (p *Profile) AddActivations(name string, a *Activations) {
 	a.mergeInto(dst)
 }
 
-func (p *Profile) record(name string, t guest.ThreadID, f frame, cost uint64) {
+func (p *Profile) record(name string, t guest.ThreadID, trms, rms int64, inducedThread, inducedExternal, cost uint64) {
 	rp := p.Routines[name]
 	if rp == nil {
 		rp = &RoutineProfile{Name: name, PerThread: make(map[guest.ThreadID]*Activations)}
@@ -326,7 +319,7 @@ func (p *Profile) record(name string, t guest.ThreadID, f frame, cost uint64) {
 		a = newActivations(t)
 		rp.PerThread[t] = a
 	}
-	a.record(f, cost)
+	a.Record(clampMetric(trms), clampMetric(rms), inducedThread, inducedExternal, cost)
 }
 
 // Routine returns the profile of the named routine, or nil.

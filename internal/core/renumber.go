@@ -45,8 +45,8 @@ func (p *Profiler) renumber() {
 	// distinct: the counter is bumped at every call).
 	var acts []uint32
 	for _, tv := range p.threads {
-		for _, f := range tv.stack {
-			acts = append(acts, f.ts)
+		for _, f := range tv.Stack {
+			acts = append(acts, f.TS)
 		}
 	}
 	sort.Slice(acts, func(i, j int) bool { return acts[i] < acts[j] })
@@ -131,9 +131,9 @@ func (p *Profiler) renumber() {
 
 	// Remap pending activation timestamps by rank.
 	for _, tv := range p.threads {
-		for i := range tv.stack {
-			r := interval(tv.stack[i].ts) // exact rank: frame timestamps are in acts
-			tv.stack[i].ts = uint32(3 * (r + 1))
+		for i := range tv.Stack {
+			r := interval(tv.Stack[i].TS) // exact rank: frame timestamps are in acts
+			tv.Stack[i].TS = uint32(3 * (r + 1))
 		}
 	}
 

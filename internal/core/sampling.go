@@ -133,7 +133,7 @@ func (p *Profiler) burstCall(tv *threadView, r guest.RoutineID) {
 	if phase >= SamplingBurstLen {
 		// Sample this activation out: the whole subtree runs without
 		// shadow updates until the matching return pops this frame.
-		tv.skipRoot = int32(len(tv.stack))
+		tv.skipRoot = int32(len(tv.Stack))
 	}
 }
 
@@ -152,23 +152,15 @@ func (p *Profiler) memBatchFiltered(t guest.ThreadID, tv *threadView, events []g
 	cnt := p.count
 	tsc := &tv.tsc
 	gc := &p.gcur
+	measured := len(tv.Stack) > 0
 
-	var top *frame
-	var topTS uint32
-	if n := len(tv.stack); n > 0 {
-		top = &tv.stack[n-1]
-		topTS = top.ts
-	}
-
-	if depth := int32(len(tv.stack)); tv.filtCnt != cnt || tv.filtDepth != depth {
+	if depth := int32(len(tv.Stack)); tv.filtCnt != cnt || tv.filtDepth != depth {
 		tv.filt = [readFilterSize]guest.Addr{}
 		tv.filtCnt = cnt
 		tv.filtDepth = depth
 	}
 
 	prov := uint64(cnt)<<32 | uint64(uint32(t)+1)
-	thrInduced := !p.opts.DisableThreadInduced
-	extInduced := !p.opts.DisableExternal
 	var suppressed uint64
 
 	for _, e := range events {
@@ -180,9 +172,6 @@ func (p *Profiler) memBatchFiltered(t guest.ThreadID, tv *threadView, events []g
 				if cnt >= p.threshold {
 					p.renumber()
 					cnt = p.count
-					if top != nil {
-						topTS = top.ts
-					}
 				}
 				cnt++
 				p.count = cnt
@@ -208,49 +197,9 @@ func (p *Profiler) memBatchFiltered(t guest.ThreadID, tv *threadView, events []g
 			*slot = a + 1
 			continue // repeat access: no-op, see readAt
 		}
-		if top != nil {
+		if measured {
 			g := gc.Peek(a)
-			wts := uint32(g >> 32)
-			j := notSearched
-
-			induced := false
-			if old < wts {
-				if uint32(g) == kernelWriter {
-					induced = extInduced
-				} else {
-					induced = thrInduced
-				}
-			}
-			if induced {
-				top.trms++
-				if uint32(g) == kernelWriter {
-					top.inducedExternal++
-					p.inducedExternal++
-				} else {
-					top.inducedThread++
-					p.inducedThread++
-				}
-			} else if old == 0 {
-				top.trms++
-			} else if old < topTS {
-				top.trms++
-				j = findFrame(tv.stack, old)
-				if j >= 0 {
-					tv.stack[j].trms--
-				}
-			}
-
-			if old == 0 {
-				top.rms++
-			} else if old < topTS {
-				top.rms++
-				if j == notSearched {
-					j = findFrame(tv.stack, old)
-				}
-				if j >= 0 {
-					tv.stack[j].rms--
-				}
-			}
+			tv.Read(old, uint32(g>>32), uint32(g))
 		}
 		ch[a&(shadow.ChunkSize-1)] = cnt
 		*slot = a + 1
@@ -315,7 +264,7 @@ func (p *Profiler) publishSampling(reg *telemetry.Registry) {
 func (p *Profiler) routineTiers() (exact, sampled int64) {
 	var seen, samp []bool
 	mark := func(tv *threadView) {
-		for rtn, a := range tv.acts {
+		for rtn, a := range tv.Acts {
 			if a == nil {
 				continue
 			}

@@ -77,21 +77,29 @@ func readBlock(b []byte) (payload, rest []byte, err error) {
 	return payload, b[8+n:], nil
 }
 
-// writeCheckpoint atomically persists a tenant checkpoint: magic, meta
-// block, profile block. The profile block is any JSON form of a
-// core.ProfileDump — the daemon writes it compact; the indented Export of
-// older checkpoints reads back the same.
+// writeCheckpoint atomically persists a tenant checkpoint.
 func writeCheckpoint(path string, meta checkpointMeta, profile []byte) error {
-	mj, err := json.Marshal(meta)
+	buf, err := encodeCheckpoint(meta, profile)
 	if err != nil {
 		return err
+	}
+	_, err = trace.AtomicWriteFile(path, buf)
+	return err
+}
+
+// encodeCheckpoint frames a tenant checkpoint: magic, meta block, profile
+// block. The profile block is any JSON form of a core.ProfileDump — the
+// daemon writes it compact; the indented Export of older checkpoints reads
+// back the same.
+func encodeCheckpoint(meta checkpointMeta, profile []byte) ([]byte, error) {
+	mj, err := json.Marshal(meta)
+	if err != nil {
+		return nil, err
 	}
 	buf := make([]byte, 0, len(checkpointMagic)+len(mj)+len(profile)+16)
 	buf = append(buf, checkpointMagic...)
 	buf = appendBlock(buf, mj)
-	buf = appendBlock(buf, profile)
-	_, err = trace.AtomicWriteFile(path, buf)
-	return err
+	return appendBlock(buf, profile), nil
 }
 
 // loadCheckpoint reads a tenant checkpoint. A missing file (or an empty
@@ -108,8 +116,13 @@ func loadCheckpoint(path string) (*loadedCheckpoint, error) {
 		}
 		return nil, err
 	}
+	return decodeCheckpoint(b)
+}
+
+// decodeCheckpoint parses the bytes of a tenant checkpoint file.
+func decodeCheckpoint(b []byte) (*loadedCheckpoint, error) {
 	if len(b) < len(checkpointMagic) || string(b[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, fmt.Errorf("daemon: %s is not a checkpoint file", path)
+		return nil, fmt.Errorf("daemon: not a checkpoint file")
 	}
 	b = b[len(checkpointMagic):]
 	mj, b, err := readBlock(b)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -136,6 +137,69 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if _, err := loadCheckpoint(path); err == nil {
 		t.Error("corrupt checkpoint loaded without error")
 	}
+}
+
+// FuzzTenantCheckpoint: decodeCheckpoint must never panic, and a
+// checkpoint it accepts must re-encode (as the daemon writes it) to bytes
+// that decode to the same meta and profile. Each input is tried twice: as
+// a whole file, and as the meta and profile payloads framed with valid
+// checksums, since random bytes almost never get past a CRC to the JSON
+// decoders behind it.
+func FuzzTenantCheckpoint(f *testing.F) {
+	// Small seeds keep the fuzzer's minimization of new inputs cheap.
+	prof := core.NewProfile()
+	a := core.NewActivations(1)
+	a.Record(3, 2, 1, 0, 40)
+	prof.AddActivations("parse", a)
+	prof.InducedThread = 1
+	export, err := json.Marshal(prof.Dump())
+	if err != nil {
+		f.Fatal(err)
+	}
+	meta := []byte(`{"tenant":"acme","windows":3,"events":42,"degraded":true}`)
+	file, err := encodeCheckpoint(checkpointMeta{Tenant: "acme", Windows: 3, Events: 42}, export)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file, []byte{})
+	f.Add(meta, export)
+	f.Add(file[:len(file)/2], []byte(`{}`))
+	f.Add([]byte(`{}`), []byte(`{"routines":[]}`))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		framed := appendBlock(appendBlock([]byte(checkpointMagic), a), b)
+		for _, data := range [][]byte{a, framed} {
+			ck, err := decodeCheckpoint(data)
+			if err != nil {
+				continue
+			}
+			dump, err := json.Marshal(ck.profile.Dump())
+			if err != nil {
+				t.Fatalf("accepted profile does not marshal: %v", err)
+			}
+			re, err := encodeCheckpoint(ck.Meta, dump)
+			if err != nil {
+				t.Fatalf("accepted meta does not re-encode: %v", err)
+			}
+			back, err := decodeCheckpoint(re)
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint rejected: %v", err)
+			}
+			if back.Meta != ck.Meta {
+				t.Fatalf("meta %+v round-trips to %+v", ck.Meta, back.Meta)
+			}
+			want, err := ck.profile.Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := back.profile.Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("profile does not round-trip")
+			}
+		}
+	})
 }
 
 // FuzzHello: readHello must never panic on arbitrary bytes, and a hello it

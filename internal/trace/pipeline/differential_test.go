@@ -154,6 +154,33 @@ func TestRejectsUnsupportedOptions(t *testing.T) {
 	}
 }
 
+// TestRejectsBurstSampling: burst sampling's per-routine activation counts
+// are global across threads, so per-thread workers cannot reproduce it; the
+// pipeline must refuse it rather than silently return the exact profile,
+// which differs from core.FromTrace under burst. Suppress is
+// profile-identical and stays accepted.
+func TestRejectsBurstSampling(t *testing.T) {
+	_, tr := recordAndProfile(t, "mysqld", workloads.Params{Threads: 4, Size: 24, Seed: 1}, core.Options{})
+	burst := core.Options{Sampling: core.SamplingBurst}
+	if _, err := pipeline.Analyze(tr, pipeline.Options{Profile: burst}); err == nil {
+		t.Error("Analyze accepted SamplingBurst")
+	}
+	if _, err := pipeline.BuildPlan(tr, 0, burst); err == nil {
+		t.Error("BuildPlan accepted SamplingBurst")
+	}
+	exact, err := core.FromTrace(tr, 0, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pipeline.Analyze(tr, pipeline.Options{Profile: core.Options{Sampling: core.SamplingSuppress}})
+	if err != nil {
+		t.Fatalf("SamplingSuppress rejected: %v", err)
+	}
+	if !bytes.Equal(export(t, got), export(t, exact)) {
+		t.Error("pipeline profile under SamplingSuppress differs from the exact replay")
+	}
+}
+
 // TestEmptyTrace: analyzing an empty trace yields an empty profile rather
 // than an error.
 func TestEmptyTrace(t *testing.T) {

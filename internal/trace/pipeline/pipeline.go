@@ -78,11 +78,14 @@ type Options struct {
 	// corrupted inputs exhausting memory. Zero means unlimited.
 	MaxEvents int
 
-	// Profile configures the analyzers. ContextSensitive and OnActivation
-	// are not supported by the parallel pipeline (the first needs a shared
-	// calling-context tree, the second a totally ordered activation
-	// stream); Analyze rejects them. RenumberThreshold is ignored: the
-	// pipeline's 64-bit counters never overflow.
+	// Profile configures the analyzers. ContextSensitive, OnActivation and
+	// Sampling = SamplingBurst are not supported by the parallel pipeline
+	// (the first needs a shared calling-context tree, the second a totally
+	// ordered activation stream, the third per-routine activation counts
+	// global across threads); Analyze rejects them. SamplingSuppress is
+	// accepted and yields the exact profile, which it equals by
+	// construction. RenumberThreshold is ignored: the pipeline's 64-bit
+	// counters never overflow.
 	Profile core.Options
 
 	// Telemetry, when non-nil, receives the pipeline's self-metrics:
@@ -325,6 +328,9 @@ func validateOptions(opts core.Options) error {
 	}
 	if opts.OnActivation != nil {
 		return fmt.Errorf("pipeline: OnActivation streaming requires the sequential replayer (core.FromTrace)")
+	}
+	if opts.Sampling == core.SamplingBurst {
+		return fmt.Errorf("pipeline: burst sampling requires the sequential replayer (core.FromTrace)")
 	}
 	return nil
 }

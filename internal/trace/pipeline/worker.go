@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -12,27 +11,21 @@ import (
 	"repro/internal/trace"
 )
 
-// cell is the width of a per-thread shadow timestamp: uint32 when the
-// pre-scan proved the counter fits (narrow mode), uint64 otherwise. Both
-// instantiations store the exact same counter values.
-type cell interface {
-	~uint32 | ~uint64
-}
-
 // analyzeThread runs the per-thread half of the paper's Fig. 11 algorithm
 // over one guest thread's segments: the thread's latest-access shadow memory
-// ts_t, its shadow stack of partial trms/rms values (Invariant 2), and the
-// per-routine histogram aggregation. Global information — the counter at
-// segment entry and the (wts, writer) pair each read observes — comes
-// precomputed from the plan, so threads are analyzed fully independently.
-// The worker fetches the thread plan's segments as the pre-scan publishes
-// them, and consumes a complete plan without waiting.
+// ts_t plus core's per-thread kernel (shadow stack of partial trms/rms
+// values, read and return rules, per-routine aggregation), the same kernel
+// the inline profiler runs. Global information — the counter at segment
+// entry and the (wts, writer) pair each read observes — comes precomputed
+// from the plan, so threads are analyzed fully independently. The worker
+// fetches the thread plan's segments as the pre-scan publishes them, and
+// consumes a complete plan without waiting.
 //
-// The logic mirrors core.Profiler event for event, with never-renumbered
-// counter values in place of the inline profiler's renumbered timestamps;
-// profiles depend only on timestamp order relations, which renumbering
-// preserves, so the results are identical. The differential tests in this
-// package hold the two implementations together.
+// The plan's counter values are never renumbered, unlike the inline
+// profiler's; profiles depend only on timestamp order relations, which
+// renumbering preserves, so the results are identical. The differential
+// tests in this package check the plan's precomputed stamps against the
+// inline profiler.
 //
 // A panic anywhere in the analysis — e.g. inconsistent plan state from a
 // corrupted trace — is converted into an error carrying the thread and the
@@ -67,7 +60,7 @@ type workerCkpt struct {
 // per-thread analysis; the robustness tests use it to inject worker panics.
 var workerPanicHook func(guest.ThreadID)
 
-func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, onSegment func(int), ck *workerCkpt, resume *workerState) (prof *core.Profile, err error) {
+func runWorker[C core.Cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opts core.Options, onSegment func(int), ck *workerCkpt, resume *workerState) (prof *core.Profile, err error) {
 	var segs []segment // the plan's prefix fetched last
 	segIdx := -1
 	defer func() {
@@ -85,22 +78,20 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 		workerPanicHook(tp.id)
 	}
 	w := &worker[C]{
-		tr:      tr,
-		id:      tp.id,
+		Kernel:  core.NewKernel[C](tp.id, opts),
 		opts:    opts,
 		ts:      shadow.NewTable[C](),
-		acts:    make(map[guest.RoutineID]*core.Activations),
 		ck:      ck,
 		stamped: tp.stamped,
 	}
 	next, resumeOff := 0, -1
 	if resume != nil {
+		w.restore(resume)
 		if resume.done {
 			// The thread finished before the checkpoint: its profile is
 			// exactly the fold of its stored aggregates.
-			return stateProfile(tr, resume), nil
+			return w.FoldInto(core.NewProfile(), tr), nil
 		}
-		w.restore(resume)
 		next, resumeOff = resume.segIdx, resume.off
 	}
 	for {
@@ -157,7 +148,7 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 		w.abortSnap()
 		ck.mgr.submit(w.finalState())
 	}
-	return w.profile(), nil
+	return w.FoldInto(core.NewProfile(), tr), nil
 }
 
 // restore rebuilds the worker from a checkpointed state. Everything is
@@ -166,13 +157,8 @@ func runWorker[C cell](ctx context.Context, tr *trace.Trace, tp *threadPlan, opt
 func (w *worker[C]) restore(st *workerState) {
 	w.count = st.count
 	w.nextRead = st.nextRead
-	w.inducedThread = st.inducedThread
-	w.inducedExternal = st.inducedExternal
 	w.events = st.events
-	w.stack = append([]frame(nil), st.stack...)
-	for id, a := range st.acts {
-		w.acts[id] = cloneActs(a)
-	}
+	core.CopyKernel(&w.Kernel, &st.k)
 	for _, c := range st.cells {
 		w.ts.Set(guest.Addr(c.addr), C(c.val))
 	}
@@ -246,45 +232,29 @@ func (w *worker[C]) cancelCkpt(segIdx, off int) {
 // goroutine, off the worker's path.
 func (w *worker[C]) captureState(segIdx, off int, snap *shadow.Snapshot[C]) *workerState {
 	st := &workerState{
-		threadIdx:       w.ck.threadIdx,
-		id:              w.id,
-		segIdx:          segIdx,
-		off:             off,
-		events:          w.events,
-		count:           w.count,
-		nextRead:        w.nextRead,
-		inducedThread:   w.inducedThread,
-		inducedExternal: w.inducedExternal,
-		stack:           append([]frame(nil), w.stack...),
-		acts:            make(map[guest.RoutineID]*core.Activations, len(w.acts)),
+		threadIdx: w.ck.threadIdx,
+		segIdx:    segIdx,
+		off:       off,
+		events:    w.events,
+		count:     w.count,
+		nextRead:  w.nextRead,
 	}
-	for id, a := range w.acts {
-		st.acts[id] = cloneActs(a)
-	}
+	core.CopyKernel(&st.k, &w.Kernel)
 	st.cellsFn = func() []cellPair { return snapCells(snap) }
 	return st
 }
 
 // finalState marks the thread fully analyzed: only the aggregates matter.
 func (w *worker[C]) finalState() *workerState {
-	st := &workerState{
-		threadIdx:       w.ck.threadIdx,
-		id:              w.id,
-		done:            true,
-		events:          w.events,
-		inducedThread:   w.inducedThread,
-		inducedExternal: w.inducedExternal,
-		acts:            make(map[guest.RoutineID]*core.Activations, len(w.acts)),
-	}
-	for id, a := range w.acts {
-		st.acts[id] = cloneActs(a)
-	}
+	st := &workerState{threadIdx: w.ck.threadIdx, done: true, events: w.events}
+	core.CopyKernel(&st.k, &w.Kernel)
+	st.k.Stack = nil // frames still pending at the thread's end never return
 	return st
 }
 
 // snapCells flattens a shadow snapshot into the checkpoint's sorted
 // (address, value) pairs.
-func snapCells[C cell](snap *shadow.Snapshot[C]) []cellPair {
+func snapCells[C core.Cell](snap *shadow.Snapshot[C]) []cellPair {
 	cells := make([]cellPair, 0, 1024)
 	snap.Range(func(a guest.Addr, v C) {
 		cells = append(cells, cellPair{addr: uint64(a), val: uint64(v)})
@@ -292,10 +262,10 @@ func snapCells[C cell](snap *shadow.Snapshot[C]) []cellPair {
 	return cells
 }
 
-// worker is the state of one per-thread analyzer.
-type worker[C cell] struct {
-	tr   *trace.Trace
-	id   guest.ThreadID
+// worker is the state of one per-thread analyzer: the kernel plus the
+// thread's shadow memory, its plan-stamp cursor and its counter image.
+type worker[C core.Cell] struct {
+	core.Kernel[C]
 	opts core.Options
 
 	count    uint64 // local image of the global counter
@@ -306,12 +276,7 @@ type worker[C cell] struct {
 	packed  []uint64
 	reads   []trace.Stamp
 
-	ts    *shadow.Table[C] // the thread's latest-access shadow memory
-	stack []frame
-
-	acts            map[guest.RoutineID]*core.Activations
-	inducedThread   uint64
-	inducedExternal uint64
+	ts *shadow.Table[C] // the thread's latest-access shadow memory
 
 	// Checkpointing state (nil/zero when checkpointing is off): events is
 	// the total processed event tally (resumed work included), snapper an
@@ -322,18 +287,6 @@ type worker[C cell] struct {
 	snapper   *shadow.Snapshotter[C]
 	tsEpoch   int
 	snapEpoch int
-}
-
-// frame is one shadow-stack entry; see core's frame.
-type frame struct {
-	rtn     guest.RoutineID
-	ts      uint64
-	bbEnter uint64
-
-	trms, rms int64
-
-	inducedThread   uint64
-	inducedExternal uint64
 }
 
 // readAt returns the (wts, writer) pair observed by the thread's i-th read.
@@ -350,30 +303,25 @@ func (w *worker[C]) step(e *trace.Event) {
 	switch e.Kind {
 	case trace.KindCall:
 		w.count++
-		w.stack = append(w.stack, frame{rtn: guest.RoutineID(e.Arg), ts: w.count, bbEnter: e.Aux})
+		w.Call(guest.RoutineID(e.Arg), C(w.count), e.Aux)
 
 	case trace.KindReturn:
-		if len(w.stack) == 0 {
+		n := len(w.Stack)
+		if n == 0 {
 			return
 		}
-		f := w.stack[len(w.stack)-1]
-		w.stack = w.stack[:len(w.stack)-1]
 		if w.opts.CheckLevel != core.CheckOff {
-			checkActivation(&f)
+			// The pipeline carries no violation collector, so a violation
+			// panics with an "invariant:" prefix; runWorker's panic
+			// recovery converts that into a clean per-thread error
+			// carrying thread and segment context.
+			f := &w.Stack[n-1]
+			if bad := f.Malformed(); bad != nil {
+				panic(fmt.Sprintf("invariant: activation of routine %d violates %v: trms=%d rms=%d induced=%d+%d",
+					f.Rtn, bad, f.TRMS, f.RMS, f.InducedThread, f.InducedExternal))
+			}
 		}
-		a := w.acts[f.rtn]
-		if a == nil {
-			a = core.NewActivations(w.id)
-			w.acts[f.rtn] = a
-		}
-		a.Record(clamp(f.trms), clamp(f.rms), f.inducedThread, f.inducedExternal, e.Aux-f.bbEnter)
-		if n := len(w.stack); n > 0 {
-			parent := &w.stack[n-1]
-			parent.trms += f.trms
-			parent.rms += f.rms
-			parent.inducedThread += f.inducedThread
-			parent.inducedExternal += f.inducedExternal
-		}
+		w.Return(e.Aux)
 
 	case trace.KindRead, trace.KindKernelRead:
 		var wts uint64
@@ -382,7 +330,9 @@ func (w *worker[C]) step(e *trace.Event) {
 			wts, writer = w.readAt(w.nextRead)
 			w.nextRead++
 		}
-		w.read(guest.Addr(e.Arg), wts, writer)
+		slot := w.ts.Slot(guest.Addr(e.Arg)) // one chunk probe for both the load and the store
+		w.Read(*slot, C(wts), writer)
+		*slot = C(w.count)
 
 	case trace.KindWrite:
 		w.ts.Set(guest.Addr(e.Arg), C(w.count))
@@ -404,126 +354,8 @@ func (w *worker[C]) step(e *trace.Event) {
 		// start from fresh shadow state. The epoch bump tells a pending
 		// checkpoint snapshot its table is gone (see safepoint).
 		w.ts = shadow.NewTable[C]()
-		w.stack = w.stack[:0]
+		w.Stack = w.Stack[:0]
 		w.tsEpoch++
 	}
 	// ThreadStart, Sync, Alloc, Free carry no profiling state.
-}
-
-// checkActivation enforces a completed activation's paper invariants under
-// Options.Profile.CheckLevel: Definition 1 makes rms a set cardinality
-// (never negative), trms extends rms by induced first-accesses only
-// (trms >= rms), and trms can exceed rms by at most the induced
-// first-accesses the subtree recorded. The pipeline carries no violation
-// collector, so a violation panics with an "invariant:" prefix; runWorker's
-// panic recovery converts that into a clean per-thread error carrying
-// thread and segment context.
-func checkActivation(f *frame) {
-	induced := int64(f.inducedThread) + int64(f.inducedExternal)
-	if f.rms < 0 || f.trms < f.rms || f.trms > f.rms+induced {
-		panic(fmt.Sprintf("invariant: activation of routine %d violates trms/rms well-formedness: trms=%d rms=%d induced=%d+%d",
-			f.rtn, f.trms, f.rms, f.inducedThread, f.inducedExternal))
-	}
-}
-
-// read applies the Fig. 11 read rules plus the parallel rms computation,
-// mirroring core.Profiler.Read.
-func (w *worker[C]) read(a guest.Addr, wts uint64, writer uint32) {
-	slot := w.ts.Slot(a) // one chunk probe for both the load and the store
-	old := uint64(*slot)
-
-	if len(w.stack) > 0 {
-		top := &w.stack[len(w.stack)-1]
-		// The trms and rms branches share at most one ancestor search;
-		// notSearched marks it as not yet computed.
-		const notSearched = -2
-		j := notSearched
-
-		if old < wts && w.inducedEnabled(writer) {
-			// Induced first-access: new input for the topmost activation
-			// and, by Invariant 2, for every ancestor.
-			top.trms++
-			if writer == kernelWriter {
-				top.inducedExternal++
-				w.inducedExternal++
-			} else {
-				top.inducedThread++
-				w.inducedThread++
-			}
-		} else if old == 0 {
-			top.trms++
-		} else if old < top.ts {
-			top.trms++
-			j = findFrame(w.stack, old)
-			if j >= 0 {
-				w.stack[j].trms--
-			}
-		}
-
-		if old == 0 {
-			top.rms++
-		} else if old < top.ts {
-			top.rms++
-			if j == notSearched {
-				j = findFrame(w.stack, old)
-			}
-			if j >= 0 {
-				w.stack[j].rms--
-			}
-		}
-	}
-
-	*slot = C(w.count)
-}
-
-func (w *worker[C]) inducedEnabled(writer uint32) bool {
-	if writer == kernelWriter {
-		return !w.opts.DisableExternal
-	}
-	return !w.opts.DisableThreadInduced
-}
-
-// profile folds the worker's per-routine aggregates into a single-thread
-// core.Profile, resolving routine ids against the trace's name table in
-// ascending id order (deterministic, and collision-safe: two ids mapping to
-// the same name merge exactly as the inline profiler would have merged
-// them).
-func (w *worker[C]) profile() *core.Profile {
-	out := core.NewProfile()
-	out.InducedThread = w.inducedThread
-	out.InducedExternal = w.inducedExternal
-	ids := make([]guest.RoutineID, 0, len(w.acts))
-	for id := range w.acts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		out.AddActivations(w.tr.RoutineName(id), w.acts[id])
-	}
-	return out
-}
-
-func clamp(v int64) uint64 {
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
-
-// findFrame returns the largest index j with stack[j].ts <= ts, or -1, by
-// binary search over the monotone frame timestamps — the O(log depth)
-// ancestor adjustment of the paper's analysis.
-func findFrame(stack []frame, ts uint64) int {
-	lo, hi := 0, len(stack)-1
-	j := -1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if stack[mid].ts <= ts {
-			j = mid
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	return j
 }

@@ -7,7 +7,8 @@
 # Optional flags:
 #   -race   additionally run the full test suite under the race detector
 #   -fuzz   additionally run a 30-second fuzz smoke of the trace decoder,
-#           the recovery path and the aprofd hello and frame readers
+#           the recovery path, the analysis checkpoint decoders, the aprofd
+#           hello and frame readers and the aprofd tenant checkpoint decoder
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,9 +67,9 @@ echo "telemetry snapshot OK: $snap"
 echo "== sampling smoke: suppress byte-identity and burst cross-check"
 # The analyze path runs the inline profiler and the offline pipeline side
 # by side and insists they agree, so these two runs double as end-to-end
-# sampling gates: under -sampling=suppress the pipeline also runs the
-# redundancy filter and the strict comparison proves byte-identity with
-# the exact route; under -sampling=burst the exact pipeline profile is
+# sampling gates: under -sampling=suppress the inline profiler runs the
+# redundancy filter and the strict comparison with the exact pipeline
+# profile proves byte-identity; under -sampling=burst the exact pipeline profile is
 # cross-checked against the sampled inline one (calls and cost must match
 # exactly, sampled-out counts must be consistent).
 go run ./cmd/aprof-trace analyze -workload mysqld -sampling=suppress \
@@ -163,6 +164,10 @@ if [ "$run_fuzz" = 1 ]; then
 	go test -fuzz=FuzzHello -fuzztime=30s ./internal/daemon
 	echo "== fuzz smoke: FuzzFrame (30s)"
 	go test -fuzz=FuzzFrame -fuzztime=30s ./internal/daemon
+	echo "== fuzz smoke: FuzzCheckpoint (30s)"
+	go test -fuzz=FuzzCheckpoint -fuzztime=30s ./internal/trace/pipeline
+	echo "== fuzz smoke: FuzzTenantCheckpoint (30s)"
+	go test -fuzz=FuzzTenantCheckpoint -fuzztime=30s ./internal/daemon
 fi
 
 echo "verify: all checks passed"
