@@ -63,8 +63,11 @@ const DefaultSegmentEvents = 4096
 // larger is treated as framing corruption rather than trusted.
 const maxBlockPayload = 1 << 28
 
-// maxTableEntries bounds the accumulated routine/sync name tables.
-const maxTableEntries = 1 << 24
+// MaxTableEntries bounds the accumulated routine/sync name tables. Since a
+// decoded segment may reference only routines already named (see
+// parseSegmentPayload), it bounds every routine id a decoded trace carries,
+// and with it the dense per-routine tables the analyses size by those ids.
+const MaxTableEntries = 1 << 24
 
 // maxNameLen bounds one table name.
 const maxNameLen = 1 << 16
@@ -423,8 +426,12 @@ func parseTablePayload(payload []byte) ([]string, error) {
 
 // parseSegmentPayload decodes an E block payload into its thread id and
 // events. The event count is bounded by the payload size (every event is at
-// least four bytes) before allocating.
-func parseSegmentPayload(payload []byte) (guest.ThreadID, []Event, error) {
+// least four bytes) before allocating. routines is the size of the routine
+// name table so far: a writer flushes the names a segment references before
+// the segment, so a call or return of any later id is invalid — and would
+// make every analysis size its dense per-routine table by an id the file
+// never names.
+func parseSegmentPayload(payload []byte, routines int) (guest.ThreadID, []Event, error) {
 	p := &byteParser{b: payload}
 	idWire, err := p.uvarint()
 	if err != nil {
@@ -460,6 +467,9 @@ func parseSegmentPayload(payload []byte) (guest.ThreadID, []Event, error) {
 		aux, err := p.uvarint()
 		if err != nil {
 			return id, nil, fmt.Errorf("event %d: %w", i, err)
+		}
+		if (Kind(kb) == KindCall || Kind(kb) == KindReturn) && arg >= uint64(routines) {
+			return id, nil, fmt.Errorf("event %d: routine id %d beyond the %d-entry routine table", i, arg, routines)
 		}
 		events = append(events, Event{TS: prev, Thread: id, Kind: Kind(kb), Arg: arg, Aux: aux})
 	}
@@ -511,7 +521,7 @@ func newTraceBuilder() *traceBuilder {
 }
 
 func (b *traceBuilder) addRoutines(names []string) error {
-	if len(b.tr.Routines)+len(names) > maxTableEntries {
+	if len(b.tr.Routines)+len(names) > MaxTableEntries {
 		return fmt.Errorf("implausible routine-table size %d", len(b.tr.Routines)+len(names))
 	}
 	b.tr.Routines = append(b.tr.Routines, names...)
@@ -519,7 +529,7 @@ func (b *traceBuilder) addRoutines(names []string) error {
 }
 
 func (b *traceBuilder) addSyncs(names []string) error {
-	if len(b.tr.Syncs)+len(names) > maxTableEntries {
+	if len(b.tr.Syncs)+len(names) > MaxTableEntries {
 		return fmt.Errorf("implausible sync-table size %d", len(b.tr.Syncs)+len(names))
 	}
 	b.tr.Syncs = append(b.tr.Syncs, names...)
@@ -642,7 +652,7 @@ func decodeV2(t *trackReader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: name-table block at offset %d: %w", blk.offset, err)
 			}
 		case blockEvents:
-			id, events, err := parseSegmentPayload(blk.payload)
+			id, events, err := parseSegmentPayload(blk.payload, len(b.tr.Routines))
 			if err != nil {
 				return nil, fmt.Errorf("trace: segment at offset %d: %w", blk.offset, err)
 			}

@@ -5,6 +5,7 @@ package pipeline
 // (or should) do.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -155,5 +156,49 @@ func TestRecoveredTraceAnalyzes(t *testing.T) {
 	}
 	if prof == nil || cutProf == nil {
 		t.Fatal("nil profile")
+	}
+}
+
+// TestOutOfTableRoutineRejected: every analysis sizes a dense per-routine
+// table by routine id, so a tiny file calling a routine its name table
+// never names must be refused at decode time — by the strict decoder, the
+// stream decoder and Verify — and salvage must drop the segment, all
+// without allocating anything near the id's table size.
+func TestOutOfTableRoutineRejected(t *testing.T) {
+	tr := &trace.Trace{Routines: []string{"main"}, Threads: []trace.ThreadTrace{{ID: 1, Events: []trace.Event{
+		{TS: 1, Thread: 1, Kind: trace.KindCall, Arg: 1 << 24},
+		{TS: 2, Thread: 1, Kind: trace.KindReturn, Arg: 1 << 24, Aux: 1},
+	}}}}
+	var buf bytes.Buffer
+	if _, err := tr.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := trace.Decode(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "routine id") {
+		t.Fatalf("Decode = %v, want an out-of-table routine error", err)
+	}
+	if _, err := trace.NewStreamDecoder().Feed(data); err == nil {
+		t.Fatal("StreamDecoder accepted a call of an unnamed routine")
+	}
+	if vr, err := trace.Verify(bytes.NewReader(data)); err != nil || vr.OK() {
+		t.Fatalf("Verify = %+v, %v; want the segment flagged", vr, err)
+	}
+	rec, rep, err := trace.Recover(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SalvagedEvents != 0 || rec.NumEvents() != 0 {
+		t.Fatalf("Recover salvaged %d events of an invalid segment", rep.SalvagedEvents)
+	}
+	if _, err := Analyze(rec, Options{}); err != nil {
+		t.Fatalf("analyzing the salvage: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Fatalf("rejecting a 2-event trace allocated %d bytes", grew)
 	}
 }

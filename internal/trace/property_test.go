@@ -45,11 +45,20 @@ func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 				order = append(order, tid)
 			}
 			clock[tid] += uint64(r.Delta)
+			kind, arg := trace.Kind(r.Kind%uint8(trace.KindSwitch+1)), uint64(r.Arg)
+			if kind == trace.KindCall || kind == trace.KindReturn {
+				// Well-formed calls and returns name an interned routine.
+				if len(tr.Routines) == 0 {
+					kind = trace.KindRead
+				} else {
+					arg %= uint64(len(tr.Routines))
+				}
+			}
 			tt.Events = append(tt.Events, trace.Event{
 				TS:     clock[tid],
 				Thread: tid,
-				Kind:   trace.Kind(r.Kind % uint8(trace.KindSwitch+1)),
-				Arg:    uint64(r.Arg),
+				Kind:   kind,
+				Arg:    arg,
 				Aux:    uint64(r.Aux),
 			})
 		}

@@ -241,7 +241,7 @@ scan:
 			}
 			rep.SalvagedBlocks++
 		case blockEvents:
-			id, events, perr := parseSegmentPayload(blk.payload)
+			id, events, perr := parseSegmentPayload(blk.payload, len(b.tr.Routines))
 			if perr == nil {
 				perr = b.addSegment(id, events)
 			}
@@ -373,6 +373,10 @@ func Verify(r io.Reader) (*VerifyReport, error) {
 	t := &trackReader{br: br, n: preludeLen}
 	vr := &VerifyReport{Version: formatVersion}
 	threads := make(map[guest.ThreadID]bool)
+	// routines counts the routine names of intact table deltas. A damaged
+	// delta leaves later ids unknowable, so from then on segments are held
+	// only to the format's table bound.
+	routines := 0
 	for {
 		blk, err := readBlock(t)
 		if err == io.EOF {
@@ -396,8 +400,11 @@ func Verify(r io.Reader) (*VerifyReport, error) {
 			case blockRoutines, blockSyncs:
 				names, perr := parseTablePayload(blk.payload)
 				info.Names, info.Err = len(names), perr
+				if blk.kind == blockRoutines {
+					routines += len(names)
+				}
 			case blockEvents:
-				id, events, perr := parseSegmentPayload(blk.payload)
+				id, events, perr := parseSegmentPayload(blk.payload, routines)
 				info.Thread, info.HasThread, info.Events, info.Err = id, perr == nil, len(events), perr
 				if perr == nil {
 					vr.Segments++
@@ -421,6 +428,9 @@ func Verify(r io.Reader) (*VerifyReport, error) {
 		}
 		if info.Err != nil {
 			vr.Bad++
+			if blk.kind == blockRoutines {
+				routines = MaxTableEntries
+			}
 		}
 		vr.Blocks = append(vr.Blocks, info)
 		if blk.kind == blockFooter && vr.FooterValid {

@@ -49,6 +49,7 @@ type StreamDecoder struct {
 	preluded bool
 	footer   bool
 	err      error
+	routines int // routine names decoded so far
 }
 
 // NewStreamDecoder returns a decoder expecting the v2 prelude.
@@ -155,12 +156,13 @@ func (d *StreamDecoder) decodeBlock(delta *StreamDelta) (int, error) {
 			return 0, fmt.Errorf("trace: name-table block: %w", err)
 		}
 		if kind == blockRoutines {
+			d.routines += len(names)
 			delta.Routines = append(delta.Routines, names...)
 		} else {
 			delta.Syncs = append(delta.Syncs, names...)
 		}
 	case blockEvents:
-		id, events, err := parseSegmentPayload(payload)
+		id, events, err := parseSegmentPayload(payload, d.routines)
 		if err != nil {
 			return 0, fmt.Errorf("trace: segment block: %w", err)
 		}
